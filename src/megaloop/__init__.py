@@ -16,7 +16,7 @@ from .model import (ArchitectureDecl, Event, EventTypeRegistry, Megamodel, Signa
                     check_architecture, check_megamodel, mape_label, signature_of)
 from .reflection import (Patch, PatchStep, Snapshot, apply_patch, apply_patch_now,
                          audit_quiescence, export_snapshot, import_snapshot,
-                         parse_patch, rebind_use, reflect_edit, reflect_query)
+                         parse_patch, rebind_use)
 from .runtime import Engine, EngineError, ModuleInstance, RunResult, RuntimeModel
 from .scenario import Script, parse_script
 from .triggers import TriggerSpec, match_event, parse_trigger
@@ -30,6 +30,6 @@ __all__ = [
     "audit_quiescence", "build_engine", "check_architecture", "check_megamodel",
     "eval_condition", "export_snapshot", "import_snapshot", "load_fld_dir",
     "mape_label", "match_event", "parse_condition", "parse_fld", "parse_ld",
-    "parse_patch", "parse_script", "parse_trigger", "rebind_use", "reflect_edit",
-    "reflect_query", "serialize_fld", "serialize_ld", "signature_of",
+    "parse_patch", "parse_script", "parse_trigger", "rebind_use", "serialize_fld",
+    "serialize_ld", "signature_of",
 ]

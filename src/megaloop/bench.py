@@ -24,7 +24,6 @@ steps, far too coarse for sub-percent comparisons.
 from __future__ import annotations
 
 import statistics
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -132,7 +131,6 @@ class ComboResult:
     mean_run_ms: float
     median_run_ms: float
     mean_cpu_pct: float      # per-run compute spans integrated over the window
-    window_cpu_pct: float = 0.0  # coarse process-clock reading, informational
     op_sequence: list[tuple[str, str]] = field(repr=False, default_factory=list)
 
 
@@ -192,45 +190,6 @@ def make_mocks(compute_s: float, sink: list[tuple[str, str]]) -> dict:
     return {name: mock(name, exit) for name, exit in MOCK_EXITS.items()}
 
 
-class _CpuSampler:
-    """Samples process CPU time against wall time off the engine loop."""
-
-    def __init__(self, interval: float = 0.25):
-        self.interval = interval
-        self.samples: list[float] = []
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self._t0 = 0.0
-        self._c0 = 0.0
-        self._t1 = 0.0
-        self._c1 = 0.0
-
-    def __enter__(self) -> "_CpuSampler":
-        self._t0 = time.perf_counter()
-        self._c0 = time.process_time()
-        self._thread = threading.Thread(target=self._loop, daemon=True)
-        self._thread.start()
-        return self
-
-    def _loop(self) -> None:
-        prev_wall, prev_cpu = self._t0, self._c0
-        while not self._stop.wait(self.interval):
-            wall, cpu = time.perf_counter(), time.process_time()
-            if wall > prev_wall:
-                self.samples.append(100.0 * (cpu - prev_cpu) / (wall - prev_wall))
-            prev_wall, prev_cpu = wall, cpu
-
-    def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join()
-        self._t1 = time.perf_counter()
-        self._c1 = time.process_time()
-
-    def mean_pct(self) -> float:
-        wall = self._t1 - self._t0
-        return 100.0 * (self._c1 - self._c0) / wall if wall > 0 else 0.0
-
-
 SPIN_S = 0.002  # sleep pacing wakes early and spins the rest for precise starts
 
 
@@ -269,19 +228,17 @@ def _run_schedule(run_once, period_s: float, duration_s: float, anchor: str,
 
 def _measure(run_once, sink: list, period_s: float, duration_s: float, anchor: str,
              pacing: str):
-    """Warm up, then measure: (run spans, op sequence, cpu sampler).
+    """Warm up, then measure: (run spans, op sequence, window seconds).
 
     The loop's runs are pure computation (they never block), so the mean
     CPU utilization is the per-run wall spans integrated over the window.
-    Process-clock deltas are recorded too, but sandboxed kernels account
-    them in ~10ms quanta, far too coarse for sub-percent comparisons.
     """
     for _ in range(WARMUP_RUNS):
         run_once()
     del sink[:]
-    with _CpuSampler() as sampler:
-        spans = _run_schedule(run_once, period_s, duration_s, anchor, pacing)
-    return spans, list(sink), sampler
+    t0 = time.perf_counter()
+    spans = _run_schedule(run_once, period_s, duration_s, anchor, pacing)
+    return spans, list(sink), time.perf_counter() - t0
 
 
 def run_combo(compute_ms: int, period_ms: int, mode: str, duration_s: float,
@@ -313,9 +270,8 @@ def run_combo(compute_ms: int, period_ms: int, mode: str, duration_s: float,
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    spans, sequence, sampler = _measure(run_once, sink, period_s, duration_s, anchor, pacing)
+    spans, sequence, window = _measure(run_once, sink, period_s, duration_s, anchor, pacing)
     run_ms = [(end - start) * 1000.0 for start, end in spans]
-    window = sampler._t1 - sampler._t0
     median_ms = statistics.median(run_ms) if run_ms else 0.0
     # robust load estimate: typical per-run cost times the rate; immune to
     # preemption spikes that inflate individual wall spans
@@ -325,7 +281,6 @@ def run_combo(compute_ms: int, period_ms: int, mode: str, duration_s: float,
         mean_run_ms=statistics.fmean(run_ms) if run_ms else 0.0,
         median_run_ms=median_ms,
         mean_cpu_pct=100.0 * busy / window if window > 0 else 0.0,
-        window_cpu_pct=sampler.mean_pct(),
         op_sequence=sequence,
     )
 

@@ -21,7 +21,6 @@ must not be counted as a success by any condition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Protocol, Union
 
@@ -400,5 +399,3 @@ def _compile(expr: ConditionExpr):
         return lambda h, now: not inner(h, now)
     raise TypeError(f"not a condition expression: {expr!r}")
 
-
-INFINITY = math.inf

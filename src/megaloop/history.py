@@ -1,8 +1,9 @@
 """Per-instance execution history: run records and indexed condition queries.
 
 The history is append-only.  An incremental index keeps every condition
-atom O(1); `recount.BruteForceView` in the test suite recomputes the same
-quantities by full scans and must always agree.
+atom O(1), and `exit_counts` reads its per-exit counters instead of
+rescanning the run records; `BruteForceView` in `tests/conftest.py`
+recomputes the same quantities by full scans and must always agree.
 
 Aborted runs keep their run index and record but their operation
 executions are rolled out of the index so conditions never count a failed
@@ -134,14 +135,11 @@ class ExecutionHistory:
     # --- summaries -------------------------------------------------------------
 
     def exit_counts(self) -> dict[str, dict[str, int]]:
-        """Per-operation exit counters recomputed from the raw records."""
+        """Per-operation exit counters of every run that did not abort."""
         out: dict[str, dict[str, int]] = {}
-        for run in self.runs:
-            if run.aborted:
-                continue
-            for ex in run.op_executions:
-                out.setdefault(ex.op, {}).setdefault(ex.exit, 0)
-                out[ex.op][ex.exit] += 1
+        for (op, exit), count in self._counts.items():
+            if exit is not None:
+                out.setdefault(op, {})[exit] = count
         return out
 
     def to_json(self) -> list[dict]:

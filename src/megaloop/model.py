@@ -406,6 +406,17 @@ class ArchitectureDecl:
     def use_edge_for(self, module: str, op: str) -> UseEdge | None:
         return next((e for e in self.use_edges if e.source == module and e.op == op), None)
 
+    def remove_module(self, name: str) -> None:
+        """Drop a module with every edge and model binding that touches it."""
+        for layer in self.layers:
+            layer.modules = [m for m in layer.modules if m.instance_name != name]
+        self.use_edges = [e for e in self.use_edges if name not in (e.source, e.target)]
+        self.sense_edges = [e for e in self.sense_edges if name not in (e.source, e.sensed)]
+        self.effect_edges = [e for e in self.effect_edges
+                             if name not in (e.source, e.effected)]
+        self.model_bindings = [b for b in self.model_bindings
+                               if name not in (b.module, b.target)]
+
 
 # --- architecture validation ----------------------------------------------------
 

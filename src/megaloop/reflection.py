@@ -30,9 +30,9 @@ from . import dsl
 from .clock import MonotonicClock, VirtualClock
 from .diagnostics import Diagnostic, has_errors
 from .history import ExecutionHistory, REMOVED_STATE
-from .model import (ArchitectureDecl, EffectEdge, EventTypeRegistry, Layer, Megamodel,
-                    ModelBinding, ModuleDecl, SenseEdge, UseEdge, check_architecture,
-                    check_megamodel, check_signature_binding)
+from .model import (ArchitectureDecl, EffectEdge, EventTypeRegistry, Layer, ModelBinding,
+                    ModuleDecl, SenseEdge, UseEdge, check_architecture, check_megamodel,
+                    check_signature_binding)
 from .runtime import Engine, EngineError, ModuleInstance, RuntimeModel
 from .triggers import parse_trigger
 
@@ -237,14 +237,7 @@ def apply_patch_now(engine: Engine, patch: Patch) -> PatchReport:
             name = args[0]
             if arch.find_module(name) is None:
                 raise resolve_fail(f"module {name!r} does not exist")
-            for layer in arch.layers:
-                layer.modules = [m for m in layer.modules if m.instance_name != name]
-            arch.use_edges = [e for e in arch.use_edges if name not in (e.source, e.target)]
-            arch.sense_edges = [e for e in arch.sense_edges if name not in (e.source, e.sensed)]
-            arch.effect_edges = [e for e in arch.effect_edges
-                                 if name not in (e.source, e.effected)]
-            arch.model_bindings = [b for b in arch.model_bindings
-                                   if name not in (b.module, b.target)]
+            arch.remove_module(name)
             removed.append(name)
         elif kind == "addSense":
             src, sensed, trigger_text = args
@@ -308,9 +301,13 @@ def apply_patch_now(engine: Engine, patch: Patch) -> PatchReport:
     engine.registry = registry
     engine.arch = arch
     for name in removed:
-        inst = engine.instances.pop(name, None)
+        inst = engine.instances.get(name)
         if inst is not None:
-            _retire_instance(engine, inst)
+            # a synthetic final record closes the removed module's history
+            now = engine.clock.now()
+            inst.history.begin_run(now, REMOVED_STATE, engine.next_seq())
+            inst.history.end_run(now, REMOVED_STATE, engine.next_seq())
+            engine._discard_instance(inst)
     for mod in arch.modules():
         if mod.kind == "megamodel" and mod.instance_name not in engine.instances:
             engine._create_instance(mod)
@@ -354,18 +351,6 @@ def _remove_edge(arch: ArchitectureDecl, args: tuple, resolve_fail) -> None:
             raise resolve_fail(f"no effect edge {src} -> {effected}")
 
 
-def _retire_instance(engine: Engine, inst: ModuleInstance) -> None:
-    """Drop a removed module: synthetic final record, pending and model cleanup."""
-    engine.pending = [a for a in engine.pending if a.target != inst.name]
-    now = engine.clock.now()
-    inst.history.begin_run(now, REMOVED_STATE, engine.next_seq())
-    inst.history.end_run(now, REMOVED_STATE, engine.next_seq())
-    for slot in list(inst.model_bindings):
-        bound = inst.model_bindings[slot]
-        if isinstance(bound, str) and bound.startswith(inst.name + "."):
-            engine.store.pop(bound, None)
-
-
 # --- rebinding and triggers ------------------------------------------------------------
 
 def rebind_use(engine: Engine, module: str, op_name: str, new_target: str,
@@ -394,15 +379,7 @@ def rebind_now(engine: Engine, module: str, op_name: str, new_target: str) -> No
     else:
         if engine.arch is None or engine.arch.find_module(new_target) is None:
             raise EngineError("E-NO-INSTANCE", f"unknown module {new_target!r}")
-        target_mod = engine.arch.find_module(new_target)
-        impl_holder = engine.software.get(target_mod.source_ref)
-        ops = getattr(impl_holder, "operations", None) or {}
-        fn = ops.get(op_name)
-        if fn is None:
-            raise EngineError("E-BIND-MISSING",
-                              f"software module {new_target!r} provides no "
-                              f"operation {op_name!r}")
-        inst.bindings[op_name] = ("call", fn)
+        inst.bindings[op_name] = ("call", engine._resolve_basic(inst, op_name, new_target))
     inst.invalidate()
     if engine.arch is not None:
         engine.arch.use_edges = [e for e in engine.arch.use_edges
@@ -433,15 +410,7 @@ def set_trigger_now(engine: Engine, sensing: str, sensed: str, trigger_text: str
     engine.log_mutation("setTrigger", f"{sensing} <- {sensed}: {trigger.to_text()}")
 
 
-# --- reflection veneer -------------------------------------------------------------
-
-def reflect_query(engine: Engine, instance: str) -> dict:
-    return engine.reflect_query(instance)
-
-
-def reflect_edit(engine: Engine, instance: str, edit: tuple) -> None:
-    engine.reflect_edit(instance, edit)
-
+# --- listing ----------------------------------------------------------------------
 
 def describe_architecture(engine: Engine) -> str:
     """The `list` projection: exactly the canonical text of the live LD."""

@@ -101,10 +101,6 @@ class ReflectionHandle:
         return f"ReflectionHandle({self.target!r})"
 
 
-def instance_binding(name: str) -> tuple:
-    return ("instance", name)
-
-
 def route_complex(final_state: str, op: Operation) -> str:
     """Map the invoked instance's final state onto an exit compartment."""
     if len(op.exits) == 1:
@@ -125,15 +121,14 @@ class _DispatchPlan:
     once; create/destroy usages force the slow path every dispatch.
     """
 
-    __slots__ = ("version", "static", "models", "ctx", "destroy_slots")
+    __slots__ = ("version", "static", "models", "ctx")
 
     def __init__(self, version: int, static: bool, models: dict | None,
-                 ctx: "OperationContext | None", destroy_slots: tuple):
+                 ctx: "OperationContext | None"):
         self.version = version
         self.static = static
         self.models = models
         self.ctx = ctx
-        self.destroy_slots = destroy_slots
 
 
 class ModuleInstance:
@@ -151,7 +146,6 @@ class ModuleInstance:
         self.wiring_version = 0              # bumped whenever bindings/models move
         self._plans: dict[str, _DispatchPlan] = {}
         self._route: dict[tuple[str, str | None], tuple] = {}
-        self._initials: dict[str, object] = {}
         self._decision_routes: dict[str, list] = {}
         self.rebuild_routes()
 
@@ -161,7 +155,6 @@ class ModuleInstance:
     def rebuild_routes(self) -> None:
         mm = self.megamodel
         self._route = {}
-        self._initials = {s.name: s for s in mm.initial_states()}
         for flow in mm.flows:
             self._route[(flow.source.node, flow.source.compartment)] = \
                 self._resolve_target(flow.target)
@@ -187,12 +180,6 @@ class ModuleInstance:
 
     def next_from_state(self, state: str) -> tuple:
         return self._route[(state, None)]
-
-    def next_from_exit(self, op: str, exit: str) -> tuple:
-        return self._route[(op, exit)]
-
-    def branch_target(self, branch) -> tuple:
-        return self._resolve_target(branch.target)
 
 
 class Engine:
@@ -282,8 +269,7 @@ class Engine:
             if mod.kind != "megamodel":
                 continue
             inst = self.instances[mod.instance_name]
-            mm = inst.megamodel
-            for op in mm.operations:
+            for op in inst.megamodel.operations:
                 edge = self.arch.use_edge_for(mod.instance_name, op.name) if self.arch else None
                 if op.kind == "complex":
                     if edge is None:
@@ -291,27 +277,35 @@ class Engine:
                                           f"{mod.instance_name}.{op.name} has no use edge")
                     inst.bindings[op.name] = ("instance", edge.target)
                 else:
-                    inst.bindings[op.name] = ("call", self._resolve_basic(mm, mod, op, edge))
+                    inst.bindings[op.name] = ("call", self._resolve_basic(
+                        inst, op.name, edge.target if edge else None))
             for binding in (self.arch.model_bindings if self.arch else []):
                 if binding.module == mod.instance_name:
                     inst.model_bindings[binding.slot] = ("instance", binding.target)
             inst.invalidate()
 
-    def _resolve_basic(self, mm: Megamodel, mod: ModuleDecl, op: Operation, edge) -> Callable:
-        if edge is not None:
-            target_mod = self.arch.find_module(edge.target)
+    def _resolve_basic(self, inst: ModuleInstance, op_name: str,
+                      target: str | None = None) -> Callable:
+        """The implementation of a basic operation.
+
+        With a use-edge `target` it is the software module's operation of
+        that name; without, the default op registered for the megamodel's
+        operation or for the bare operation name.
+        """
+        if target is not None:
+            target_mod = self.arch.find_module(target) if self.arch else None
             impl_holder = self.software.get(target_mod.source_ref) if target_mod else None
-            ops = getattr(impl_holder, "operations", None) or {}
-            fn = ops.get(op.name)
+            fn = (getattr(impl_holder, "operations", None) or {}).get(op_name)
             if fn is None:
                 raise EngineError("E-BIND-MISSING",
-                                  f"software module {edge.target!r} provides no "
-                                  f"operation {op.name!r}")
+                                  f"software module {target!r} provides no "
+                                  f"operation {op_name!r}")
             return fn
-        fn = self.default_ops.get(f"{mm.name}.{op.name}") or self.default_ops.get(op.name)
+        fn = (self.default_ops.get(f"{inst.megamodel.name}.{op_name}")
+              or self.default_ops.get(op_name))
         if fn is None:
             raise EngineError("E-BIND-MISSING",
-                              f"no implementation registered for {mod.instance_name}.{op.name}")
+                              f"no implementation registered for {inst.name}.{op_name}")
         return fn
 
     def instantiate(self, megamodel: Megamodel | str, instance_name: str,
@@ -333,16 +327,11 @@ class Engine:
         bindings = bindings or {}
         for op in inst.megamodel.operations:
             bound = bindings.get(op.name)
-            if callable(bound):
-                inst.bindings[op.name] = ("call", bound)
-            elif isinstance(bound, str):
+            if isinstance(bound, str):
                 inst.bindings[op.name] = ("instance", bound)
             else:
-                fn = self.default_ops.get(f"{mm.name}.{op.name}") or self.default_ops.get(op.name)
-                if fn is None:
-                    raise EngineError("E-BIND-MISSING",
-                                      f"operation {op.name!r} of {instance_name!r} is unbound")
-                inst.bindings[op.name] = ("call", fn)
+                inst.bindings[op.name] = ("call", bound if callable(bound)
+                                          else self._resolve_basic(inst, op.name))
         self.instances[instance_name] = inst
         for slot in inst.megamodel.slots:
             if not slot.megamodel_ref:
@@ -423,7 +412,8 @@ class Engine:
             target = self.instances.get(target_name)
             if target is None or target.status != "idle":
                 continue
-            if not self._gate_ok(target, spec.period):
+            now = self.clock.now()
+            if self._gate_opens(target, spec.period, now) > now + _EPS:
                 continue  # gated interceptions are skipped, not deferred
             self.execute_run(target, spec.initial_state,
                              cause=f"intercept:{event.type_name}")
@@ -455,65 +445,57 @@ class Engine:
 
     # --- gates and scheduling ------------------------------------------------------
 
-    def _gate_ok(self, inst: ModuleInstance, period: float | None) -> bool:
+    def _gate_opens(self, inst: ModuleInstance, period: float | None, now: float) -> float:
+        """When the period gate opens: now without a period or a completed run."""
         if not period:
-            return True
+            return now
         last = (inst.history.last_completed_end if self.period_anchor == "end"
                 else inst.history.last_completed_start)
-        return last is None or self.clock.now() - last >= period - _EPS
-
-    def _gate_opens(self, inst: ModuleInstance, period: float | None) -> float:
-        if not period:
-            return self.clock.now()
-        last = (inst.history.last_completed_end if self.period_anchor == "end"
-                else inst.history.last_completed_start)
-        return self.clock.now() if last is None else last + period
+        return now if last is None else last + period
 
     def _layer(self, name: str) -> int:
         if self.arch is None:
             return 0
         return self.arch.layer_of(name) if self.arch.layer_of(name) is not None else 0
 
+    def _activations(self, now: float) -> list[tuple]:
+        """(gate opens, enqueue time, target, activation or edge) of every idle target."""
+        found = []
+        for act in self.pending:
+            inst = self.instances.get(act.target)
+            if inst is not None and inst.status == "idle":
+                found.append((self._gate_opens(inst, act.period, now), act.enqueue_time,
+                              act.target, act))
+        for edge in self._periodic_edges:
+            inst = self.instances.get(edge.source)
+            if inst is not None and inst.status == "idle":
+                opens = self._gate_opens(inst, edge.trigger.period, now)
+                found.append((opens, opens, edge.source, edge))
+        return found
+
     def next_action(self, now: float) -> PendingActivation | None:
         """Oldest ready activation; ties go to the lower layer, then the name."""
-        ready: list[tuple[tuple, PendingActivation, bool]] = []
-        for act in self.pending:
-            inst = self.instances.get(act.target)
-            if inst is None or inst.status != "idle":
-                continue
-            if self._gate_ok(inst, act.period):
-                key = (act.enqueue_time, self._layer(act.target), act.target)
-                ready.append((key, act, True))
-        for edge in self._periodic_edges:
-            inst = self.instances.get(edge.source)
-            if inst is None or inst.status != "idle":
-                continue
-            spec = edge.trigger
-            opens = self._gate_opens(inst, spec.period)
+        best = None
+        for opens, at, target, item in self._activations(now):
             if opens <= now + _EPS:
-                act = PendingActivation(edge.source, spec.initial_state, opens,
-                                        "periodic", spec.period)
-                key = (opens, self._layer(edge.source), edge.source)
-                ready.append((key, act, False))
-        if not ready:
+                key = (at, self._layer(target), target)
+                if best is None or key < best[0]:
+                    best = (key, item)
+        if best is None:
             return None
-        ready.sort(key=lambda item: item[0])
-        _, act, queued = ready[0]
-        if queued:
-            self.pending.remove(act)
-        return act
+        (at, _, target), item = best
+        if isinstance(item, PendingActivation):
+            self.pending.remove(item)
+            return item
+        spec = item.trigger
+        return PendingActivation(target, spec.initial_state, at, "periodic", spec.period)
 
-    def _next_wake(self) -> float | None:
-        times = []
-        for act in self.pending:
-            inst = self.instances.get(act.target)
-            if inst is not None:
-                times.append(self._gate_opens(inst, act.period))
-        for edge in self._periodic_edges:
-            inst = self.instances.get(edge.source)
-            if inst is not None:
-                times.append(self._gate_opens(inst, edge.trigger.period))
-        return min(times) if times else None
+    def _next_wake(self, now: float) -> float | None:
+        wake = None
+        for opens, _, _, _ in self._activations(now):
+            if wake is None or opens < wake:
+                wake = opens
+        return wake
 
     # --- interpreter ------------------------------------------------------------------
 
@@ -676,8 +658,7 @@ class Engine:
             models = {u.slot: self._resolve_model(inst, op, u.slot) for u in op.usages}
             ctx = OperationContext(self, inst.name, op.name, 0.0,
                                    inst.sensed, inst.effected)
-        destroy_slots = tuple(u.slot for u in op.usages if u.kind == "destroy")
-        plan = _DispatchPlan(inst.wiring_version, static, models, ctx, destroy_slots)
+        plan = _DispatchPlan(inst.wiring_version, static, models, ctx)
         inst._plans[op.name] = plan
         return plan
 
@@ -713,26 +694,20 @@ class Engine:
     # --- destruction and structural bookkeeping ------------------------------------------
 
     def _destroy_instance(self, inst: ModuleInstance) -> None:
-        self.instances.pop(inst.name, None)
-        self.pending = [a for a in self.pending if a.target != inst.name]
-        for slot in list(inst.model_bindings):
-            bound = inst.model_bindings[slot]
-            if isinstance(bound, str) and bound.startswith(inst.name + "."):
-                self.store.pop(bound, None)
+        self._discard_instance(inst)
         if self.arch is not None:
-            name = inst.name
-            for layer in self.arch.layers:
-                layer.modules = [m for m in layer.modules if m.instance_name != name]
-            self.arch.use_edges = [e for e in self.arch.use_edges
-                                   if name not in (e.source, e.target)]
-            self.arch.sense_edges = [e for e in self.arch.sense_edges
-                                     if name not in (e.source, e.sensed)]
-            self.arch.effect_edges = [e for e in self.arch.effect_edges
-                                      if name not in (e.source, e.effected)]
-            self.arch.model_bindings = [b for b in self.arch.model_bindings
-                                        if name not in (b.module, b.target)]
+            self.arch.remove_module(inst.name)
             self._rebuild_routing()
         self.log_mutation("destroyInstance", inst.name)
+
+    def _discard_instance(self, inst: ModuleInstance) -> None:
+        """Forget an instance with its queued activations and the models it owns."""
+        self.instances.pop(inst.name, None)
+        self.pending = [a for a in self.pending if a.target != inst.name]
+        own = inst.name + "."
+        for bound in inst.model_bindings.values():
+            if isinstance(bound, str) and bound.startswith(own):
+                self.store.pop(bound, None)
 
     def log_mutation(self, kind: str, detail: str) -> None:
         self.structural_mutations.append((self.next_seq(), self.clock.now(), kind, detail))
@@ -952,7 +927,7 @@ class Engine:
             upcoming = []
             if ci < len(commands):
                 upcoming.append(commands[ci].time)
-            wake = self._next_wake()
+            wake = self._next_wake(now)
             if wake is not None and wake > now:
                 upcoming.append(wake)
             target = min(upcoming) if upcoming else None
@@ -993,8 +968,6 @@ class Engine:
             else:
                 remaining.append((target, cmd))
         self._step_waiters = remaining
-        if self._step_target is not None and now + _EPS >= self._step_target:
-            pass  # stay frozen at the target until the next step command
 
     def _run_script_command(self, command) -> None:
         try:

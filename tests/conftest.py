@@ -75,6 +75,14 @@ class BruteForceView:
                         best = ex.end
         return math.inf if best is None else now - best
 
+    def exit_counts(self) -> dict:
+        out: dict = {}
+        for run in self._live():
+            for ex in run.op_executions:
+                counts = out.setdefault(ex.op, {})
+                counts[ex.exit] = counts.get(ex.exit, 0) + 1
+        return out
+
 
 # --- random valid megamodel generator ------------------------------------------------
 

@@ -127,6 +127,7 @@ def test_index_equals_brute_force_recount(runs, abort_last):
     view = BruteForceView(hist.runs)
     now = 1000.0
     assert hist.run_count() == view.run_count()
+    assert hist.exit_counts() == view.exit_counts()
     for op in ("A", "B", "C"):
         assert hist.executions(op) == view.executions(op)
         assert hist.seconds_since(op, None, now) == view.seconds_since(op, None, now)

@@ -86,6 +86,7 @@ class TestPatches:
         assert report.removed_modules == ["selfRepairStrategies"]
         assert "selfRepairStrategies" not in engine.instances
         assert engine.arch.find_module("selfRepairStrategies") is None
+        assert not any(mid.startswith("selfRepairStrategies.") for mid in engine.store)
 
 
 class TestRebinding:

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
-from megaloop import dsl
-from megaloop.clock import VirtualClock
+from megaloop import build_engine, dsl
+from megaloop.clock import MonotonicClock, VirtualClock
 from megaloop.model import EventTypeRegistry
+from megaloop.reflection import apply_patch_now, parse_patch
 from megaloop.runtime import Engine
 from megaloop.scenario import parse_script
+
+from conftest import FLD_DIR, LD_DIR, PATCH_DIR
 
 PING_FLD = """
 megamodel "Ping-loop" {
@@ -130,6 +135,21 @@ class TestPeriodGate:
         audit = runs_of(engine)
         for prev, cur in zip(audit, audit[1:]):
             assert cur["start"] - prev["start"] == pytest.approx(2.0, abs=1e-9)
+
+
+class TestRealClock:
+    def test_pure_period_trigger_fires_before_a_first_run(self):
+        # the updater's trigger "; 0s; Start;" has no event: only the gate starts it
+        engine, _ = build_engine(LD_DIR / "self-repair.ld", FLD_DIR, clock=MonotonicClock())
+        patch = parse_patch((PATCH_DIR / "update-software.patch").read_text()).unwrap()
+        apply_patch_now(engine, patch)
+        thread = threading.Thread(target=engine.run, kwargs={"duration": 0.5}, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert "updater" not in engine.instances
+        assert [r["final"] for r in runs_of(engine, "updater")] == ["Done"]
+        assert engine.errors == []
 
 
 class TestTieBreak:
