@@ -117,7 +117,6 @@ class BenchConfig:
     compute_ms_values: tuple[int, ...] = STANDARD_COMPUTE_MS
     period_ms_values: tuple[int, ...] = STANDARD_PERIOD_MS
     duration_s: float = 10.0
-    modes: tuple[str, ...] = ("baseline", "interpreter")
     period_anchor: str = "start"  # see module docstring
     pacing: str = "spin"          # "spin" | "sleep"
 
@@ -128,7 +127,6 @@ class ComboResult:
     period_ms: int
     mode: str
     runs: int
-    mean_run_ms: float
     median_run_ms: float
     mean_cpu_pct: float      # per-run compute spans integrated over the window
     op_sequence: list[tuple[str, str]] = field(repr=False, default_factory=list)
@@ -278,7 +276,6 @@ def run_combo(compute_ms: int, period_ms: int, mode: str, duration_s: float,
     busy = median_ms / 1000.0 * len(spans)
     return ComboResult(
         compute_ms=compute_ms, period_ms=period_ms, mode=mode, runs=len(spans),
-        mean_run_ms=statistics.fmean(run_ms) if run_ms else 0.0,
         median_run_ms=median_ms,
         mean_cpu_pct=100.0 * busy / window if window > 0 else 0.0,
         op_sequence=sequence,
@@ -300,7 +297,7 @@ def run_benchmark(config: BenchConfig | None = None, *, progress=None) -> BenchR
                      f"E-BENCH-INFEASIBLE {OP_COUNT}x{compute_ms}ms+"
                      f"{OVERHEAD_ALLOWANCE_MS:g}ms > {period_ms}ms"))
                 continue
-            for mode in config.modes:
+            for mode in ("baseline", "interpreter"):
                 if progress:
                     progress(f"c{compute_ms}ms-p{period_ms}ms {mode}")
                 report.results.append(run_combo(compute_ms, period_ms, mode,

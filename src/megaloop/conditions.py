@@ -356,11 +356,6 @@ def _eval(expr: ConditionExpr, history: HistoryView, now: float) -> float | bool
 
 def compile_condition(expr: ConditionExpr):
     """Compile to a `(history, now) -> bool` closure; equals eval_condition."""
-    fn = _compile(expr)
-    return fn
-
-
-def _compile(expr: ConditionExpr):
     if isinstance(expr, Number):
         value = expr.value
         return lambda h, now: value
@@ -376,7 +371,7 @@ def _compile(expr: ConditionExpr):
             return lambda h, now: h.seconds_since(op, exit, now)
         raise ValueError(f"unknown atom {expr.func}")
     if isinstance(expr, Compare):
-        left, right = _compile(expr.left), _compile(expr.right)
+        left, right = compile_condition(expr.left), compile_condition(expr.right)
         cmp = expr.op
         if cmp == "<":
             return lambda h, now: left(h, now) < right(h, now)
@@ -390,12 +385,12 @@ def _compile(expr: ConditionExpr):
             return lambda h, now: left(h, now) >= right(h, now)
         return lambda h, now: left(h, now) > right(h, now)
     if isinstance(expr, BoolOp):
-        items = [_compile(item) for item in expr.items]
+        items = [compile_condition(item) for item in expr.items]
         if expr.op == "and":
             return lambda h, now: all(item(h, now) for item in items)
         return lambda h, now: any(item(h, now) for item in items)
     if isinstance(expr, Not):
-        inner = _compile(expr.item)
+        inner = compile_condition(expr.item)
         return lambda h, now: not inner(h, now)
     raise TypeError(f"not a condition expression: {expr!r}")
 

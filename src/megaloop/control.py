@@ -24,7 +24,8 @@ import sys
 import threading
 from pathlib import Path
 
-from .reflection import parse_patch
+from .reflection import (apply_patch_now, describe_architecture, export_snapshot,
+                         parse_patch, rebind_now)
 from .runtime import Engine, EngineError
 
 ADDR_ENV = "ENGINE_CONTROL_ADDR"
@@ -38,20 +39,20 @@ def handle_request(engine: Engine, line: str, timeout: float = 30.0) -> str:
     verb, args = parts[0], parts[1:]
     try:
         if verb == "list" and not args:
-            return engine.submit("list").wait(timeout).rstrip("\n")
+            return engine.submit(describe_architecture, engine).wait(timeout).rstrip("\n")
         if verb == "stop" and not args:
-            return "ok " + engine.submit("stop").wait(timeout)
+            return "ok " + engine.submit(engine.stop).wait(timeout)
         if verb == "inject" and len(args) == 2:
-            engine.submit("inject", args[0], args[1]).wait(timeout)
+            engine.submit(engine.inject_failure, args[0], args[1]).wait(timeout)
             return f"ok injected {args[0]} {args[1]}"
         if verb == "step" and len(args) == 1:
-            return "ok " + engine.submit("step", float(args[0])).wait(timeout)
+            return "ok " + engine.submit(engine.step, float(args[0])).wait(timeout)
         if verb == "rebind" and len(args) == 2 and "." in args[0]:
             module, op = args[0].split(".", 1)
-            engine.submit("rebind", module, op, args[1]).wait(timeout)
+            engine.submit(rebind_now, engine, module, op, args[1]).wait(timeout)
             return f"ok rebound {args[0]} -> {args[1]}"
         if verb == "snapshot" and len(args) == 1:
-            snapshot = engine.submit("snapshot").wait(timeout)
+            snapshot = engine.submit(export_snapshot, engine).wait(timeout)
             Path(args[0]).write_text(snapshot.to_json(), encoding="utf-8")
             return f"ok snapshot {args[0]}"
         if verb == "patch" and len(args) == 1:
@@ -63,7 +64,7 @@ def handle_request(engine: Engine, line: str, timeout: float = 30.0) -> str:
             if not result.ok:
                 first = result.diagnostics[0]
                 return f"error {first.code} {first.message}"
-            report = engine.submit("patch", result.value).wait(timeout)
+            report = engine.submit(apply_patch_now, engine, result.value).wait(timeout)
             return (f"ok patch {report.patch} steps={report.steps_applied} "
                     f"added={','.join(report.added_modules) or '-'} "
                     f"removed={','.join(report.removed_modules) or '-'}")

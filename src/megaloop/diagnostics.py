@@ -40,7 +40,7 @@ Rule ids used across the package (diagnostics carry one of these codes):
   E-NO-INSTANCE     unknown module instance
   E-NO-COMPONENT    unknown component id in the adaptable system
   E-MODEL-MISSING   dispatch with an unbound model slot
-  E-EDIT-INVALID    invalid reflective edit
+  E-EDIT-INVALID    invalid reflective edit, or a structural change mid-run
   E-PATCH-RESOLVE   patch step naming an unresolvable element
   E-PATCH-INVALID   patch producing an invalid architecture
   E-SNAP-PARSE      corrupt snapshot document
@@ -83,11 +83,6 @@ class Diagnostic:
 def error(code: str, message: str, *, span: SourceSpan | None = None,
           path: str | None = None) -> Diagnostic:
     return Diagnostic("error", code, message, span=span, path=path)
-
-
-def warning(code: str, message: str, *, span: SourceSpan | None = None,
-            path: str | None = None) -> Diagnostic:
-    return Diagnostic("warning", code, message, span=span, path=path)
 
 
 def has_errors(diags: list[Diagnostic]) -> bool:

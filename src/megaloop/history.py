@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-ABORT_STATE = "⊥(error)"     # synthetic final state of an aborted run
-REMOVED_STATE = "⊥(removed)"  # synthetic final state of a removed module
+ABORT_STATE = "⊥(error)"  # synthetic final state of an aborted run
 
 
 @dataclass(slots=True)

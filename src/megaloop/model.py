@@ -693,7 +693,6 @@ class Event:
     source: str
     timestamp: float
     payload: dict = field(default_factory=dict)
-    intercept: tuple[str, str] | None = None  # (phase, op) for Before/After events
 
 
 class EventTypeRegistry:

@@ -1,9 +1,13 @@
 """Evolution of a running engine: patches, rebinding, snapshots, audits.
 
 A patch is an ordered list of name-resolved steps applied all-or-nothing
-against the live architecture.  Every structural change lands at a
-quiescent point (the engine loop drains its inbox only between runs), is
-re-validated, and leaves the engine untouched on failure.
+against the live architecture.  Every structural change (patch, rebind,
+trigger change) lands at a quiescent point: from other threads it is
+submitted to the engine inbox, which the loop drains only between runs,
+and called from inside a run it is refused with E-EDIT-INVALID.  The one
+structural change a run makes itself is a destruction state, which
+removes its instance after the run's end record.  A change is re-validated
+and leaves the engine untouched on failure.
 
 Snapshots are a single JSON container that embeds the .ld/.fld texts
 verbatim next to model bodies and per-instance histories:
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 from . import dsl
 from .clock import MonotonicClock, VirtualClock
 from .diagnostics import Diagnostic, has_errors
-from .history import ExecutionHistory, REMOVED_STATE
+from .history import ExecutionHistory
 from .model import (ArchitectureDecl, EffectEdge, EventTypeRegistry, Layer, ModelBinding,
                     ModuleDecl, SenseEdge, UseEdge, check_architecture, check_megamodel,
                     check_signature_binding)
@@ -167,11 +171,12 @@ def _parse_edge_ref(p: dsl._Parser) -> PatchStep:
 
 def apply_patch(engine: Engine, patch: Patch, timeout: float | None = 10.0) -> PatchReport:
     """Thread-safe entry point: queue the patch and wait for quiescent application."""
-    return engine.submit("patch", patch).wait(timeout)
+    return engine.submit(apply_patch_now, engine, patch).wait(timeout)
 
 
 def apply_patch_now(engine: Engine, patch: Patch) -> PatchReport:
     """Apply on the engine loop at a quiescent point; all-or-nothing."""
+    engine.require_quiescent("patch")
     if engine.arch is None:
         raise EngineError("E-PATCH-RESOLVE", "engine has no loaded architecture")
     arch = copy.deepcopy(engine.arch)
@@ -303,10 +308,6 @@ def apply_patch_now(engine: Engine, patch: Patch) -> PatchReport:
     for name in removed:
         inst = engine.instances.get(name)
         if inst is not None:
-            # a synthetic final record closes the removed module's history
-            now = engine.clock.now()
-            inst.history.begin_run(now, REMOVED_STATE, engine.next_seq())
-            inst.history.end_run(now, REMOVED_STATE, engine.next_seq())
             engine._discard_instance(inst)
     for mod in arch.modules():
         if mod.kind == "megamodel" and mod.instance_name not in engine.instances:
@@ -355,11 +356,12 @@ def _remove_edge(arch: ArchitectureDecl, args: tuple, resolve_fail) -> None:
 
 def rebind_use(engine: Engine, module: str, op_name: str, new_target: str,
                timeout: float | None = 10.0) -> None:
-    engine.submit("rebind", module, op_name, new_target).wait(timeout)
+    engine.submit(rebind_now, engine, module, op_name, new_target).wait(timeout)
 
 
 def rebind_now(engine: Engine, module: str, op_name: str, new_target: str) -> None:
     """Re-route one use edge; only the changed edge is re-validated."""
+    engine.require_quiescent("rebind")
     inst = engine.instances.get(module)
     if inst is None:
         raise EngineError("E-NO-INSTANCE", f"unknown instance {module!r}")
@@ -389,6 +391,7 @@ def rebind_now(engine: Engine, module: str, op_name: str, new_target: str) -> No
 
 
 def set_trigger_now(engine: Engine, sensing: str, sensed: str, trigger_text: str) -> None:
+    engine.require_quiescent("setTrigger")
     if engine.arch is None:
         raise EngineError("E-EDIT-INVALID", "engine has no loaded architecture")
     edge = next((e for e in engine.arch.sense_edges

@@ -2,9 +2,11 @@
 
 The engine core is single-threaded: every run, decision, and model
 mutation happens on one logical execution loop.  Other threads (control
-channel, demo drivers) communicate only by enqueueing commands onto the
-thread-safe inbox, which the loop drains between runs — so everything a
-command does happens at a quiescent point by construction.
+channel, demo drivers) communicate only by submitting callables onto the
+thread-safe inbox; the loop calls each one between runs, so everything a
+command does happens at a quiescent point by construction.  Structural
+changes check `require_quiescent` themselves, so the same functions called
+from inside a run are refused.
 
 Top-level runs never overlap.  Nested frames do exist within one call
 chain: a complex operation synchronously runs the invoked instance, and
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .clock import MonotonicClock
-from .conditions import compile_condition
+from .conditions import compile_condition, parse_condition
 from .diagnostics import Diagnostic, has_errors
 from .history import ExecutionHistory
 from .model import (ArchitectureDecl, Event, EventTypeRegistry, Megamodel,
@@ -31,6 +33,7 @@ from .model import (ArchitectureDecl, Event, EventTypeRegistry, Megamodel,
 from .triggers import PendingActivation, TriggerSpec, match_event
 
 _EPS = 1e-9  # clock granularity guard for period gates
+_STEP_PENDING = object()  # a step command replies once the loop reaches its target
 
 
 class EngineError(RuntimeError):
@@ -209,7 +212,6 @@ class Engine:
         self.model_edits: list[tuple[int, float, str, str]] = []
         self.run_audit: list[dict] = []
         self.errors: list[EngineError] = []
-        self.run_listeners: list[Callable[[RunResult], None]] = []
 
         self._seq = 0
         self._run_depth = 0
@@ -402,21 +404,19 @@ class Engine:
                                               self.clock.now(), cause, spec.period))
 
     def _emit_intercept(self, phase: str, inst: ModuleInstance, op_name: str) -> None:
-        if not self._intercept_watchers:
-            return
+        """Run the watchers of a Before/After point synchronously, inside the run."""
         watchers = self._intercept_watchers.get((inst.name, phase, op_name))
-        event = Event(f"{phase.capitalize()}[{op_name}]", inst.name, self.clock.now(),
-                      intercept=(phase, op_name))
-        self.event_log.append(event)
-        for spec, target_name in watchers or ():
+        if not watchers:
+            return
+        cause = f"intercept:{phase.capitalize()}[{op_name}]"
+        for spec, target_name in watchers:
             target = self.instances.get(target_name)
             if target is None or target.status != "idle":
                 continue
             now = self.clock.now()
             if self._gate_opens(target, spec.period, now) > now + _EPS:
                 continue  # gated interceptions are skipped, not deferred
-            self.execute_run(target, spec.initial_state,
-                             cause=f"intercept:{event.type_name}")
+            self.execute_run(target, spec.initial_state, cause=cause)
 
     def _rebuild_routing(self) -> None:
         self._intercept_watchers = {}
@@ -456,7 +456,8 @@ class Engine:
     def _layer(self, name: str) -> int:
         if self.arch is None:
             return 0
-        return self.arch.layer_of(name) if self.arch.layer_of(name) is not None else 0
+        layer = self.arch.layer_of(name)
+        return 0 if layer is None else layer
 
     def _activations(self, now: float) -> list[tuple]:
         """(gate opens, enqueue time, target, activation or edge) of every idle target."""
@@ -614,9 +615,6 @@ class Engine:
             "final": run.final_state, "aborted": aborted,
             "depth": self._run_depth, "cause": run.cause,
         })
-        if self._run_depth == 0:
-            for listener in self.run_listeners:
-                listener(run)
 
     def _dispatch_complex(self, inst: ModuleInstance, op: Operation,
                           entry: str | None, target_name: str) -> str:
@@ -709,6 +707,13 @@ class Engine:
             if isinstance(bound, str) and bound.startswith(own):
                 self.store.pop(bound, None)
 
+    def require_quiescent(self, what: str) -> None:
+        """Refuse a structural change while any run is active."""
+        if self._run_depth > 0:
+            raise EngineError("E-EDIT-INVALID",
+                              f"structural change {what!r} is not allowed mid-run; "
+                              "submit it through the engine inbox")
+
     def log_mutation(self, kind: str, detail: str) -> None:
         self.structural_mutations.append((self.next_seq(), self.clock.now(), kind, detail))
 
@@ -744,12 +749,11 @@ class Engine:
         }
 
     def reflect_edit(self, instance: str, edit: tuple) -> None:
-        """Apply a reflective edit.
+        """Apply a reflective edit immediately, even mid-run.
 
-        Model-body and decision-condition edits are enacted immediately —
-        they are the edits a synchronously intercepting higher layer is
-        allowed to make mid-run.  Structural edits must come through the
-        inbox and are rejected here while a run is active.
+        Model bodies and decision conditions are what a synchronously
+        intercepting higher layer may change inside a run; structural
+        changes go through `reflection` and `require_quiescent`.
         """
         inst = self.instances.get(instance)
         if inst is None:
@@ -757,15 +761,10 @@ class Engine:
         kind = edit[0]
         if kind == "replaceModel":
             _, slot, body = edit
-            bound = inst.model_bindings.get(slot)
-            if not isinstance(bound, str) or bound not in self.store:
-                raise EngineError("E-EDIT-INVALID",
-                                  f"{instance}.{slot} holds no runtime model")
-            self.store[bound].body = copy.deepcopy(body)
+            self.seed_model(instance, slot, body)
             self.log_model_edit("replaceModel", f"{instance}.{slot}")
             return
         if kind == "setDecisionCondition":
-            from .conditions import parse_condition
             _, decision_name, branch_idx, expr_text = edit
             decision = inst.megamodel.decision(decision_name)
             if decision is None or not (0 <= branch_idx < len(decision.branches) - 1):
@@ -784,27 +783,13 @@ class Engine:
             self.log_model_edit("setDecisionCondition",
                                 f"{instance}.{decision_name}[{branch_idx}]")
             return
-        if self._run_depth > 0:
-            raise EngineError("E-EDIT-INVALID",
-                              f"structural edit {kind!r} is not allowed mid-run; "
-                              "submit it through the engine inbox")
-        if kind == "setTrigger":
-            from .reflection import set_trigger_now
-            _, sensing, sensed, trigger_text = edit
-            set_trigger_now(self, sensing, sensed, trigger_text)
-            return
-        if kind == "rebind":
-            from .reflection import rebind_now
-            _, op_name, new_target = edit
-            rebind_now(self, instance, op_name, new_target)
-            return
         raise EngineError("E-EDIT-INVALID", f"unknown edit kind {kind!r}")
 
     # --- commands and the engine loop ---------------------------------------------------
 
-    def submit(self, kind: str, *args) -> "CommandHandle":
-        """Thread-safe: enqueue a command for the engine loop and return a handle."""
-        handle = CommandHandle(kind, args)
+    def submit(self, fn: Callable, *args) -> "CommandHandle":
+        """Thread-safe: queue `fn(*args)` for the engine loop and return its reply slot."""
+        handle = CommandHandle(fn, args)
         self.inbox.put(handle)
         return handle
 
@@ -827,51 +812,29 @@ class Engine:
 
     def _handle_command(self, cmd: "CommandHandle") -> None:
         try:
-            result = self._run_command(cmd)
-            cmd.resolve(result)
+            result = cmd.fn(*cmd.args)
         except EngineError as err:
             cmd.reject(err)
         except Exception as err:  # command bugs must not kill the loop
             cmd.reject(EngineError("E-CTL", f"command failed: {err!r}"))
+        else:
+            if result is _STEP_PENDING:
+                self._step_waiters.append((self._step_target, cmd))
+            else:
+                cmd.resolve(result)
 
-    def _run_command(self, cmd: "CommandHandle"):
-        kind, args = cmd.kind, cmd.args
-        if kind == "inject":
-            component, failure = args
-            return self.inject_failure(component, failure)
-        if kind == "emit":
-            type_name, source = args
-            return self.emit(type_name, source)
-        if kind == "seed":
-            instance, slot, body = args
-            return self.seed_model(instance, slot, body)
-        if kind == "patch":
-            from .reflection import apply_patch_now
-            return apply_patch_now(self, args[0])
-        if kind == "rebind":
-            from .reflection import rebind_now
-            module, op_name, target = args
-            return rebind_now(self, module, op_name, target)
-        if kind == "snapshot":
-            from .reflection import export_snapshot
-            return export_snapshot(self)
-        if kind == "list":
-            from .reflection import describe_architecture
-            return describe_architecture(self)
-        if kind == "edit":
-            instance, edit = args
-            return self.reflect_edit(instance, edit)
-        if kind == "step":
-            seconds, = args
-            base = self._step_target if (self._step_target is not None and
-                                         self._step_target > self.clock.now()) else self.clock.now()
-            self._step_target = base + seconds
-            self._step_waiters.append((self._step_target, cmd))
-            return cmd.defer()
-        if kind == "stop":
-            self._stop = True
-            return "stopping"
-        raise EngineError("E-CTL", f"unknown command {cmd.kind!r}")
+    def step(self, seconds: float):
+        """Command: let a paced engine advance `seconds` further; replies on arrival."""
+        now = self.clock.now()
+        base = self._step_target if (self._step_target is not None and
+                                     self._step_target > now) else now
+        self._step_target = base + seconds
+        return _STEP_PENDING
+
+    def stop(self) -> str:
+        """Command: end the engine loop."""
+        self._stop = True
+        return "stopping"
 
     def inject_failure(self, component: str, kind: str):
         for system in self.software.values():
@@ -1000,24 +963,16 @@ def _trace_text(trace: list[TraceEntry]) -> str:
 
 
 class CommandHandle:
-    """Reply slot for a command submitted to the engine inbox."""
+    """Reply slot for a callable submitted to the engine inbox."""
 
-    _PENDING = object()
-
-    def __init__(self, kind: str, args: tuple):
-        self.kind = kind
+    def __init__(self, fn: Callable, args: tuple):
+        self.fn = fn
         self.args = args
         self._done = threading.Event()
         self.result = None
         self.error: EngineError | None = None
 
-    def defer(self):
-        """Mark the command as resolved later by the engine loop."""
-        return self._PENDING
-
     def resolve(self, result) -> None:
-        if result is CommandHandle._PENDING:
-            return
         self.result = result
         self._done.set()
 
@@ -1027,7 +982,7 @@ class CommandHandle:
 
     def wait(self, timeout: float | None = None):
         if not self._done.wait(timeout):
-            raise TimeoutError(f"command {self.kind!r} timed out")
+            raise TimeoutError(f"command {self.fn.__name__!r} timed out")
         if self.error is not None:
             raise self.error
         return self.result

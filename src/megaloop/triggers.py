@@ -104,15 +104,12 @@ def parse_trigger(text: str, filename: str = "<trigger>",
 def match_event(spec: TriggerSpec, event, sense_edge, event_types) -> bool:
     """True iff the event comes from the sensed module and matches the spec.
 
-    Typed events match a listed type or any of its ancestors (hierarchy
-    walk); interception events match a Before/After pattern exactly.
+    Events match a listed type or any of its ancestors (hierarchy walk).
+    Before/After patterns are not events: the engine runs their watchers
+    synchronously at the intercepted operation.
     """
     if event.source != sense_edge.sensed:
         return False
-    if event.intercept is not None:
-        phase, op = event.intercept
-        return any(isinstance(e, InterceptPattern) and e.phase == phase and e.op == op
-                   for e in spec.events)
     for entry in spec.events:
         if isinstance(entry, str) and event_types.is_subtype(event.type_name, entry):
             return True

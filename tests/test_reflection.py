@@ -212,18 +212,29 @@ class TestReflectQueryAndEdit:
             {"crash": "restart", "poison": "replace"}
         assert len(engine.model_edits) == 1
 
-    def test_structural_edit_rejected_mid_run(self):
-        engine = fresh("layered-base.ld")
+    @pytest.mark.parametrize("change", ["rebind", "setTrigger", "patch"])
+    def test_structural_edit_rejected_mid_run(self, change):
+        engine = fresh("self-repair-variants.ld")
         inst = engine.instances["selfRepair"]
+        before = dsl.serialize_ld(engine.arch)
+        patch = parse_patch((PATCH_DIR / "update-software.patch").read_text()).unwrap()
+        attempts = {
+            "rebind": lambda e: rebind_now(e, "selfRepair", "Analyze", "selfRepairA2"),
+            "setTrigger": lambda e: set_trigger_now(e, "selfRepair", "mRUBiS",
+                                                    "RtException; 1s; Monitor;"),
+            "patch": lambda e: apply_patch_now(e, patch),
+        }
 
         def meddling_update(ctx, models):
-            ctx.engine.reflect_edit("selfRepair", ("rebind", "Update", "mRUBiS"))
+            attempts[change](ctx.engine)
             return "done"
 
         inst.bindings["Update"] = ("call", meddling_update)
         with pytest.raises(EngineError) as err:
             engine.execute_run(inst, "Monitor")
-        assert err.value.code in ("E-EDIT-INVALID", "E-OP-IMPL")
+        assert err.value.code == "E-EDIT-INVALID"
+        assert dsl.serialize_ld(engine.arch) == before
+        assert engine.structural_mutations == []
 
 
 class TestSetTrigger:

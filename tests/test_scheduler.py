@@ -216,6 +216,8 @@ class TestInterception:
         assert loop_run["start_seq"] < watcher_run["start_seq"]
         assert watcher_run["end_seq"] < loop_run["end_seq"]
         assert watcher_run["cause"] == "intercept:After[Work]"
+        # interception points are not events: only the emitted Ping is logged
+        assert [e.type_name for e in engine.event_log] == ["Ping"]
 
     def test_before_pattern(self):
         engine, calls = make_layered("Before[Work]")

@@ -86,17 +86,6 @@ class TestMatching:
         event = Event("LoadIncrease", "mRUBiS", 1.0)
         assert not match_event(spec, event, self.edge, types)
 
-    def test_intercept_pattern(self, types):
-        edge = SenseEdge("strategies", "selfRepair")
-        spec = parse_trigger("After[DeepCheck]; ; CheckStrategies;")
-        hit = Event("After[DeepCheck]", "selfRepair", 1.0, intercept=("after", "DeepCheck"))
-        miss_phase = Event("Before[DeepCheck]", "selfRepair", 1.0,
-                           intercept=("before", "DeepCheck"))
-        miss_op = Event("After[Update]", "selfRepair", 1.0, intercept=("after", "Update"))
-        assert match_event(spec, hit, edge, types)
-        assert not match_event(spec, miss_phase, edge, types)
-        assert not match_event(spec, miss_op, edge, types)
-
     def test_typed_events_do_not_match_patterns(self, types):
         edge = SenseEdge("strategies", "selfRepair")
         spec = parse_trigger("After[DeepCheck]; ; CheckStrategies;")
