@@ -5,6 +5,12 @@ atom O(1), and `exit_counts` reads its per-exit counters instead of
 rescanning the run records; `BruteForceView` in `tests/conftest.py`
 recomputes the same quantities by full scans and must always agree.
 
+A run record is a slotted object that keeps its operation executions in
+one flat list (`op, exit, start, end, op, ...`), so a retained run is two
+objects for the garbage collector to walk: the record and its list.
+`RunRecord.op_executions` is a read-only view that builds `OpExecution`
+objects from that list on each access.
+
 Aborted runs keep their run index and record but their operation
 executions are rolled out of the index so conditions never count a failed
 run as a success.
@@ -26,7 +32,7 @@ class OpExecution:
     end: float
 
 
-@dataclass
+@dataclass(slots=True)
 class RunRecord:
     index: int
     start: float
@@ -35,13 +41,18 @@ class RunRecord:
     end: float | None = None
     final_state: str | None = None
     destructed: bool = False
-    op_executions: list[OpExecution] = field(default_factory=list)
+    op_log: list = field(default_factory=list)  # flat: op, exit, start, end, op, ...
     start_seq: int = 0
     end_seq: int = 0
 
     @property
     def aborted(self) -> bool:
         return self.final_state == ABORT_STATE
+
+    @property
+    def op_executions(self) -> list[OpExecution]:
+        log = self.op_log
+        return [OpExecution(*log[i:i + 4]) for i in range(0, len(log), 4)]
 
 
 class ExecutionHistory:
@@ -71,12 +82,17 @@ class ExecutionHistory:
 
     def record_op(self, op: str, exit: str, start: float, end: float) -> None:
         run = self.current
-        run.op_executions.append(OpExecution(op, exit, start, end))
-        counts = self._counts
-        for key in ((op, exit), (op, None)):
-            counts[key] = counts.get(key, 0) + 1
-            self._last_run_idx[key] = run.index
-            self._last_end[key] = end
+        run.op_log += (op, exit, start, end)
+        index = run.index
+        counts, last_run_idx, last_end = self._counts, self._last_run_idx, self._last_end
+        key = (op, exit)
+        counts[key] = counts.get(key, 0) + 1
+        last_run_idx[key] = index
+        last_end[key] = end
+        key = (op, None)
+        counts[key] = counts.get(key, 0) + 1
+        last_run_idx[key] = index
+        last_end[key] = end
 
     def end_run(self, now: float, final_state: str, seq: int,
                 destructed: bool = False) -> RunRecord:
@@ -105,11 +121,13 @@ class ExecutionHistory:
         for run in self.runs:
             if run.aborted:
                 continue
-            for ex in run.op_executions:
-                for key in ((ex.op, ex.exit), (ex.op, None)):
+            log = run.op_log
+            for i in range(0, len(log), 4):
+                op, end = log[i], log[i + 3]
+                for key in ((op, log[i + 1]), (op, None)):
                     self._counts[key] = self._counts.get(key, 0) + 1
                     self._last_run_idx[key] = run.index
-                    self._last_end[key] = ex.end
+                    self._last_end[key] = end
 
     # --- condition-atom queries (HistoryView) ----------------------------------
 
@@ -153,7 +171,7 @@ class ExecutionHistory:
                 "cause": r.cause,
                 "startSeq": r.start_seq,
                 "endSeq": r.end_seq,
-                "ops": [[e.op, e.exit, e.start, e.end] for e in r.op_executions],
+                "ops": [r.op_log[i:i + 4] for i in range(0, len(r.op_log), 4)],
             }
             for r in self.runs
         ]

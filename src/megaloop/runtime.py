@@ -150,6 +150,7 @@ class ModuleInstance:
         self._plans: dict[str, _DispatchPlan] = {}
         self._route: dict[tuple[str, str | None], tuple] = {}
         self._decision_routes: dict[str, list] = {}
+        self.initial_states: frozenset[str] = frozenset()
         self.rebuild_routes()
 
     def invalidate(self) -> None:
@@ -157,6 +158,7 @@ class ModuleInstance:
 
     def rebuild_routes(self) -> None:
         mm = self.megamodel
+        self.initial_states = frozenset(s.name for s in mm.states if s.role == "initial")
         self._route = {}
         for flow in mm.flows:
             self._route[(flow.source.node, flow.source.compartment)] = \
@@ -180,9 +182,6 @@ class ModuleInstance:
                 entry = op.entries[0]
             return ("op", op, entry)
         return ("decision", mm.decision(target.node))
-
-    def next_from_state(self, state: str) -> tuple:
-        return self._route[(state, None)]
 
 
 class Engine:
@@ -403,12 +402,16 @@ class Engine:
         self.pending.append(PendingActivation(edge.source, spec.initial_state,
                                               self.clock.now(), cause, spec.period))
 
-    def _emit_intercept(self, phase: str, inst: ModuleInstance, op_name: str) -> None:
-        """Run the watchers of a Before/After point synchronously, inside the run."""
+    def _emit_intercept(self, phase: str, inst: ModuleInstance, op_name: str) -> bool:
+        """Run the watchers of a Before/After point synchronously, inside the run.
+
+        Returns whether any watcher ran.
+        """
         watchers = self._intercept_watchers.get((inst.name, phase, op_name))
         if not watchers:
-            return
+            return False
         cause = f"intercept:{phase.capitalize()}[{op_name}]"
+        ran = False
         for spec, target_name in watchers:
             target = self.instances.get(target_name)
             if target is None or target.status != "idle":
@@ -417,6 +420,8 @@ class Engine:
             if self._gate_opens(target, spec.period, now) > now + _EPS:
                 continue  # gated interceptions are skipped, not deferred
             self.execute_run(target, spec.initial_state, cause=cause)
+            ran = True
+        return ran
 
     def _rebuild_routing(self) -> None:
         self._intercept_watchers = {}
@@ -502,109 +507,120 @@ class Engine:
 
     def execute_run(self, inst: ModuleInstance, initial_state: str,
                     cause: str | None = None) -> RunResult:
-        """Execute one run: walk the flow graph from an initial state to a final."""
+        """Execute one run: walk the flow graph from an initial state to a final.
+
+        The clock is read once at the run start and once as each operation
+        returns.  An operation starts at the previous read (the run start or
+        the previous operation's end), and decisions and the final state use
+        the last read.  Interception runs other instances in between, so after
+        a Before/After point that ran a watcher the clock is read again.
+
+        Any exception aborts the run: the record is closed as aborted, the
+        instance returns to idle, and the exception propagates unchanged.
+        Exceptions raised by a basic operation's implementation propagate as
+        E-OP-IMPL.
+        """
         if inst.status == "running":
             raise EngineError("E-REENTRY", f"instance {inst.name!r} is already running")
-        mm = inst.megamodel
-        state = mm.state(initial_state)
-        if state is None or state.role != "initial":
+        if initial_state not in inst.initial_states:
             raise EngineError("E-NO-INSTANCE",
                               f"{initial_state!r} is not an initial state of {inst.name!r}")
-        inst.status = "running"
-        self._run_depth += 1
         now_fn = self.clock.now
         history = inst.history
         sink = self.trace_sink
         tracing = self.collect_traces or sink is not None
         name = inst.name
+        trace: list[TraceEntry] = []
         now = now_fn()
         self._seq += 1
         run = history.begin_run(now, initial_state, self._seq, cause)
-        trace: list[TraceEntry] = []
-        if tracing:
-            trace.append(TraceEntry("enterState", initial_state, None, now))
-            if sink:
-                sink(name, trace[0])
-        node = inst.next_from_state(initial_state)
+        inst.status = "running"
+        self._run_depth += 1
         try:
+            if tracing:
+                trace.append(TraceEntry("enterState", initial_state, None, now))
+                if sink:
+                    sink(name, trace[0])
+            node = inst._route[(initial_state, None)]
             while True:
                 kind = node[0]
                 if kind == "op":
                     op, entry = node[1], node[2]
                     op_name = op.name
-                    if self._intercept_watchers:
-                        self._emit_intercept("before", inst, op_name)
-                    started = now_fn()
+                    if self._intercept_watchers and self._emit_intercept("before", inst, op_name):
+                        now = now_fn()
                     if tracing:
-                        trace.append(TraceEntry("opStart", op_name, None, started))
+                        trace.append(TraceEntry("opStart", op_name, None, now))
                         if sink:
                             sink(name, trace[-1])
                     binding = inst.bindings.get(op_name)
-                    try:
-                        if binding is None:
-                            raise EngineError("E-BIND-MISSING",
-                                              f"{name}.{op_name} is unbound")
-                        if binding[0] == "instance":
-                            exit_name = self._dispatch_complex(inst, op, entry, binding[1])
-                        else:
-                            exit_name = self.dispatch_basic(inst, op, binding[1], started)
-                    except EngineError:
-                        raise
-                    except Exception as exc:  # implementation failure aborts the run
-                        raise EngineError(
-                            "E-OP-IMPL",
-                            f"{name}.{op_name} raised {exc!r} "
-                            f"(trace: {_trace_text(trace)})") from exc
+                    if binding is None:
+                        raise EngineError("E-BIND-MISSING", f"{name}.{op_name} is unbound")
+                    if binding[0] == "instance":
+                        exit_name = self._dispatch_complex(inst, op, entry, binding[1])
+                    else:
+                        plan = inst._plans.get(op_name)
+                        try:
+                            if plan is None or plan.version != inst.wiring_version:
+                                plan = self._build_plan(inst, op)
+                            if plan.static:
+                                ctx = plan.ctx
+                                ctx.now = now
+                                exit_name = binding[1](ctx, plan.models)
+                            else:
+                                exit_name = self._dispatch_dynamic(inst, op, binding[1], now)
+                        except EngineError:
+                            raise
+                        except Exception as exc:  # implementation failure aborts the run
+                            raise EngineError(
+                                "E-OP-IMPL",
+                                f"{name}.{op_name} raised {exc!r} "
+                                f"(trace: {_trace_text(trace)})") from exc
                     if exit_name not in op.exits:
                         raise EngineError(
                             "E-EXIT-UNKNOWN",
                             f"{name}.{op_name} returned undeclared exit "
                             f"{exit_name!r} (trace: {_trace_text(trace)})")
-                    ended = now_fn()
-                    history.record_op(op_name, exit_name, started, ended)
+                    started, now = now, now_fn()
+                    history.record_op(op_name, exit_name, started, now)
                     if tracing:
-                        trace.append(TraceEntry("opEnd", op_name, exit_name, ended))
+                        trace.append(TraceEntry("opEnd", op_name, exit_name, now))
                         if sink:
                             sink(name, trace[-1])
-                    if self._intercept_watchers:
-                        self._emit_intercept("after", inst, op_name)
+                    if self._intercept_watchers and self._emit_intercept("after", inst, op_name):
+                        now = now_fn()
                     node = inst._route[(op_name, exit_name)]
-                    continue
-                if kind == "state":
+                elif kind == "state":
                     final = node[1]
-                    ended = now_fn()
                     if tracing:
-                        trace.append(TraceEntry("enterState", final.name, None, ended))
+                        trace.append(TraceEntry("enterState", final.name, None, now))
                         if sink:
                             sink(name, trace[-1])
-                    self._seq += 1
-                    finished = history.end_run(ended, final.name, self._seq,
-                                               destructed=final.destruction)
-                    inst.status = "idle"
-                    result = RunResult(name, final.name, final.destruction,
-                                       trace, run.start, ended, run.index)
-                    if final.destruction:
-                        self._destroy_instance(inst)
-                    self._after_run(finished, inst, aborted=False)
-                    return result
-                decision = node[1]
-                taken_idx = None
-                branches = inst._decision_routes[decision.name]
-                for idx, (branch, test, target) in enumerate(branches):
-                    if test is None or test(history, now_fn()):
-                        taken_idx, node = idx, target
-                        break
-                if tracing:
-                    label = ("else" if branches[taken_idx][0].condition is None
-                             else f"when#{taken_idx}")
-                    trace.append(TraceEntry("decision", decision.name, label, now_fn()))
-                    if sink:
-                        sink(name, trace[-1])
-        except EngineError as err:
+                    break
+                else:
+                    decision = node[1]
+                    for idx, (branch, test, target) in \
+                            enumerate(inst._decision_routes[decision.name]):
+                        if test is None or test(history, now):
+                            node = target
+                            break
+                    if tracing:
+                        label = "else" if branch.condition is None else f"when#{idx}"
+                        trace.append(TraceEntry("decision", decision.name, label, now))
+                        if sink:
+                            sink(name, trace[-1])
+        except BaseException:
             aborted = history.abort_run(now_fn(), self.next_seq())
             inst.status = "idle"
             self._after_run(aborted, inst, aborted=True)
-            raise err
+            raise
+        self._seq += 1
+        finished = history.end_run(now, final.name, self._seq, destructed=final.destruction)
+        inst.status = "idle"
+        self._after_run(finished, inst, aborted=False)
+        if final.destruction:
+            self._destroy_instance(inst)
+        return RunResult(name, final.name, final.destruction, trace, run.start, now, run.index)
 
     def _after_run(self, run, inst: ModuleInstance, aborted: bool) -> None:
         self._run_depth -= 1
@@ -637,17 +653,6 @@ class Engine:
         sub = self.execute_run(target, entry)
         return route_complex(sub.final_state, op)
 
-    def dispatch_basic(self, inst: ModuleInstance, op: Operation, fn: Callable,
-                       now: float | None = None) -> str:
-        plan = inst._plans.get(op.name)
-        if plan is None or plan.version != inst.wiring_version:
-            plan = self._build_plan(inst, op)
-        if plan.static:
-            ctx = plan.ctx
-            ctx.now = now if now is not None else self.clock.now()
-            return fn(ctx, plan.models)
-        return self._dispatch_dynamic(inst, op, fn)
-
     def _build_plan(self, inst: ModuleInstance, op: Operation) -> "_DispatchPlan":
         static = all(u.kind not in ("create", "destroy") for u in op.usages)
         models = None
@@ -674,15 +679,15 @@ class Engine:
             return model
         return ReflectionHandle(self, bound[1])
 
-    def _dispatch_dynamic(self, inst: ModuleInstance, op: Operation, fn: Callable) -> str:
+    def _dispatch_dynamic(self, inst: ModuleInstance, op: Operation, fn: Callable,
+                          now: float) -> str:
         """Slow path for operations that create or destroy models."""
         models: dict[str, object] = {}
         for usage in op.usages:
             if usage.kind == "create":
                 self._allocate_model(inst, usage.slot)
             models[usage.slot] = self._resolve_model(inst, op, usage.slot)
-        ctx = OperationContext(self, inst.name, op.name, self.clock.now(),
-                               inst.sensed, inst.effected)
+        ctx = OperationContext(self, inst.name, op.name, now, inst.sensed, inst.effected)
         exit_name = fn(ctx, models)
         for usage in op.usages:
             if usage.kind == "destroy":

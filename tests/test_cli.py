@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
+import pytest
+
 from megaloop.cli import main
 
 from conftest import FLD_DIR, LD_DIR, PATCH_DIR, SCENARIO_DIR
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def all_corpus_files():
@@ -71,6 +77,20 @@ class TestRun:
                      "--virtual-clock", "--duration", "1"])
         assert code == 1
         assert "E-MM-UNKNOWN" in capsys.readouterr().err
+
+    # each scenario with the architecture its scenario test loads
+    @pytest.mark.parametrize("scenario, ld", [
+        ("crash-once", "self-repair.ld"),
+        ("layered-poison", "layered-strategies.ld"),
+        ("optimization", "independent.ld"),
+    ])
+    def test_virtual_clock_trace_matches_golden(self, scenario, ld, capsys):
+        code = main(["run", str(LD_DIR / ld), "--fld-dir", str(FLD_DIR),
+                     "--script", str(SCENARIO_DIR / f"{scenario}.script"),
+                     "--virtual-clock", "--duration", "30"])
+        assert code == 0
+        golden = (GOLDEN_DIR / f"{scenario}.trace").read_bytes()
+        assert capsys.readouterr().out.encode("utf-8") == golden
 
     def test_trace_file(self, tmp_path, capsys):
         trace = tmp_path / "trace.log"

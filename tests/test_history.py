@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from megaloop.history import ABORT_STATE, ExecutionHistory
+import pytest
+
+from megaloop.history import ABORT_STATE, ExecutionHistory, OpExecution
 
 
 def test_exit_counts_skip_aborted_runs():
@@ -44,3 +46,49 @@ def test_mid_run_visibility():
     assert hist.executions("A", "ok") == 1  # completed ops of the open run count
     hist.end_run(0.2, "Done", 2)
     assert hist.run_count() == 1
+
+
+def three_runs() -> ExecutionHistory:
+    hist = ExecutionHistory()
+    hist.begin_run(0.0, "Start", 1, cause="periodic")
+    hist.record_op("A", "ok", 0.0, 0.1)
+    hist.record_op("B", "fail", 0.1, 0.25)
+    hist.end_run(0.3, "Done", 2)
+    hist.begin_run(1.0, "Start", 3, cause="event:Ping")
+    hist.record_op("A", "fail", 1.0, 1.5)
+    hist.abort_run(1.6, 4)
+    hist.begin_run(2.0, "Start", 5)
+    hist.end_run(2.0, "Idle", 6, destructed=True)
+    return hist
+
+
+def test_run_record_keeps_no_instance_dict():
+    run = three_runs().runs[0]
+    assert not hasattr(run, "__dict__")
+
+
+def test_op_executions_view_matches_recorded_sequence():
+    runs = three_runs().runs
+    assert runs[0].op_executions == [OpExecution("A", "ok", 0.0, 0.1),
+                                     OpExecution("B", "fail", 0.1, 0.25)]
+    assert runs[1].op_executions == [OpExecution("A", "fail", 1.0, 1.5)]
+    assert runs[2].op_executions == []
+    with pytest.raises(AttributeError):
+        runs[0].op_executions = []
+
+
+def test_json_format_and_roundtrip_with_aborted_run():
+    hist = three_runs()
+    data = hist.to_json()
+    assert data[0] == {
+        "index": 0, "start": 0.0, "end": 0.3, "initialState": "Start",
+        "finalState": "Done", "destructed": False, "cause": "periodic",
+        "startSeq": 1, "endSeq": 2,
+        "ops": [["A", "ok", 0.0, 0.1], ["B", "fail", 0.1, 0.25]],
+    }
+    assert data[1]["finalState"] == ABORT_STATE
+    assert data[1]["ops"] == [["A", "fail", 1.0, 1.5]]
+    again = ExecutionHistory.from_json(data)
+    assert again.to_json() == data
+    assert again.runs[1].aborted
+    assert again.exit_counts() == hist.exit_counts() == {"A": {"ok": 1}, "B": {"fail": 1}}

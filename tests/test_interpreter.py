@@ -6,7 +6,7 @@ import copy
 
 import pytest
 
-from megaloop import build_engine
+from megaloop import bench, build_engine, dsl
 from megaloop.clock import VirtualClock
 from megaloop.history import ABORT_STATE
 from megaloop.model import EventTypeRegistry, Operation
@@ -257,3 +257,121 @@ class TestDestruction:
         # the replaced component carries a bumped version
         comp = engine.software["mrubis"].state.components["c5"]
         assert comp.params["version"] == 2 and comp.lifecycle == "started"
+
+
+class SinkDown(Exception):
+    """Raised by a trace sink; deliberately not an EngineError."""
+
+
+class TestRunAbortsOnAnyException:
+    # sink call 1 is the run's first enterState, 3 the end of its first
+    # operation, 5 the first entry of the nested selfRepairA run
+    @pytest.mark.parametrize("failing_call", [1, 3, 5])
+    def test_raising_sink_aborts_run_cleanly(self, repair_engine, failing_call):
+        engine = repair_engine
+        inst = engine.instances["selfRepair"]
+        calls = []
+
+        def sink(instance, entry):
+            calls.append(instance)
+            if len(calls) == failing_call:
+                raise SinkDown(f"sink call {failing_call}")
+
+        engine.trace_sink = sink
+        with pytest.raises(SinkDown):
+            engine.execute_run(inst, "Monitor")
+        for name in ("selfRepair", "selfRepairA"):
+            assert engine.instances[name].status == "idle"
+            assert engine.instances[name].history.current is None
+        assert engine._run_depth == 0
+        assert inst.history.runs[-1].aborted
+        assert engine.run_audit[-1]["instance"] == "selfRepair"
+        assert engine.run_audit[-1]["aborted"] and engine.run_audit[-1]["depth"] == 0
+        assert inst.history.executions("Update") == 0  # the aborted run counts nothing
+
+        engine.trace_sink = None
+        result = engine.execute_run(inst, "Monitor")
+        assert result.final_state == "Analyzed"
+        assert not inst.history.runs[-1].aborted
+        engine.require_quiescent("probe")  # no run is left active
+
+
+class CountingClock(VirtualClock):
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+
+    def now(self) -> float:
+        self.reads += 1
+        return super().now()
+
+
+WATCHER_FLD = """
+megamodel "Watcher" {
+  initial Start
+  final Done
+  operation Tick {
+    exits { done }
+  }
+  flow Start -> Tick
+  flow Tick.done -> Done
+}
+"""
+
+WATCHED_LD = """
+architecture "Watched-loop" {
+  layer 0 "Adaptable Software" {
+    software sys : "bench-system"
+  }
+  layer 1 "Loop" {
+    module loop : "Self-repair"
+  }
+  layer 2 "Watch" {
+    module watch : "Watcher"
+  }
+  sense loop <- sys [r]
+  effect loop -> sys [w]
+  sense watch <- loop [r] trigger "After[CheckForFailures]; ; Start;"
+}
+"""
+
+
+class _InertSystem:
+    """Layer-0 stand-in; the bench mocks never touch it."""
+
+
+class TestClockReads:
+    def loop_engine(self, ld: str, extra_ops: dict | None = None):
+        ops: list = []
+        clock = CountingClock()
+        default_ops = dict(bench.make_mocks(0.0, ops), **(extra_ops or {}))
+        engine = Engine(clock=clock, software={"bench-system": _InertSystem()},
+                        default_ops=default_ops, event_types=EventTypeRegistry(),
+                        collect_traces=False)
+        engine.registry["Self-repair"] = dsl.parse_fld(bench.LOOP_FLD, "<loop>").unwrap()
+        engine.registry["Watcher"] = dsl.parse_fld(WATCHER_FLD, "<watcher>").unwrap()
+        engine.load_architecture(dsl.parse_ld(ld, "<loop>").unwrap())
+        return engine, clock
+
+    def test_five_op_run_reads_clock_at_most_six_times(self):
+        engine, clock = self.loop_engine(bench.LOOP_LD)
+        inst = engine.instances["loop"]
+        for _ in range(2):  # the first run also builds the dispatch plans
+            before = clock.reads
+            engine.execute_run(inst, "Monitor")
+            assert clock.reads - before <= 6
+            assert [e.op for e in inst.history.runs[-1].op_executions] == list(bench.OP_ORDER)
+
+    def test_op_after_interception_starts_when_watcher_run_ends(self):
+        def tick(ctx, models):
+            ctx.engine.clock.advance_to(ctx.now + 1.0)
+            return "done"
+
+        engine, clock = self.loop_engine(WATCHED_LD, {"Tick": tick})
+        engine.execute_run(engine.instances["loop"], "Monitor")
+        watched = engine.instances["watch"].history.runs[-1]
+        assert watched.end == 1.0
+        ops = engine.instances["loop"].history.runs[-1].op_executions
+        assert [e.op for e in ops] == list(bench.OP_ORDER)
+        assert ops[1].end == 0.0  # CheckForFailures, before the watcher ran
+        assert ops[2].start == watched.end  # DeepCheck starts after the watcher run
