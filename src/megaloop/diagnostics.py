@@ -51,10 +51,10 @@ Rule ids used across the package (diagnostics carry one of these codes):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     """1-based [start, end] region of a source document."""
 
     file: str

@@ -6,6 +6,12 @@ spaces are attached with `as "..."`.  Comments run from `#` to end of line.
 Parsing never yields a partial document: the result carries either a
 validated value or diagnostics.
 
+The lexer is one pass of a compiled pattern over the text: whitespace and
+comments are skipped inside the match, and a token keeps only its kind,
+value and source offsets.  A `SourceSpan` is built on demand, from a
+line-start table, for the tokens the parser stores on an element or names
+in a diagnostic; columns count characters, so a tab or a `\r` is one.
+
 Serialization is canonical: category order is fixed (models, states,
 operations, decisions, flows), declaration order is preserved within each
 category, and whitespace is normalized, so serialize(parse(x)) is a
@@ -14,8 +20,10 @@ fixpoint.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Generic, TypeVar
+from typing import Generic, NamedTuple, TypeVar
 
 from . import conditions
 from .diagnostics import Diagnostic, SourceSpan, error, has_errors
@@ -53,14 +61,28 @@ class ParseResult(Generic[T]):
 
 # --- lexer ---------------------------------------------------------------------
 
-_PUNCT = ("->", "<-", "<<", ">>", "{", "}", "[", "]", ".", ",", ";", ":", "=")
+# One pass over the text: each match skips whitespace and comments, then
+# takes one token.  The group that matched names the token kind.
+_TOKEN = re.compile(r"""
+    (?: [ \t\r\n]+ | \#[^\n]* )*
+    (?: ( -> | <- | << | >> | [{}\[\].,;:=] )            # 1 punct
+      | " ( [^"\\\n]* (?: \\[\s\S] [^"\\\n]* )* ) "     # 2 string body
+      | ( \d[\d.]* )                                     # 3 number
+      | ( [^\W\d] \w* (?: -(?!>) \w* )* )               # 4 ident (a hyphen, never an arrow)
+      | ( \Z )                                           # 5 end of text
+      | ( [\s\S] )                                       # 6 anything else is an error
+    )""", re.VERBOSE)
+_KINDS = (None, "punct", "string", "number", "ident")
+_WORD_KINDS = ("ident", "punct")  # kinds a keyword or punctuation match accepts
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t"}
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident | string | number | punct | eof
-    value: str
-    span: SourceSpan
+class Token(NamedTuple):
+    kind: str   # ident | string | number | punct | eof
+    value: str  # a string token holds its unescaped body
+    start: int  # offset of the token's first source character
+    end: int    # offset just past its last source character
 
 
 class LexError(Exception):
@@ -69,86 +91,78 @@ class LexError(Exception):
         self.diagnostic = diagnostic
 
 
+class SpanMap:
+    """Maps token offsets of one document to SourceSpans by a line-start table."""
+
+    __slots__ = ("filename", "_starts")
+
+    def __init__(self, text: str, filename: str):
+        self.filename = filename
+        starts = [0]
+        find = text.find
+        i = find("\n")
+        while i >= 0:
+            starts.append(i + 1)
+            i = find("\n", i + 1)
+        self._starts = starts
+
+    def span(self, start: int, end: int) -> SourceSpan:
+        """The 1-based span of [start, end), measured on the start line."""
+        line = bisect_right(self._starts, start)
+        column = start - self._starts[line - 1] + 1
+        return SourceSpan(self.filename, line, column, line,
+                          column + max(end - start, 1) - 1)
+
+
 def tokenize(text: str, filename: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def span(length: int) -> SourceSpan:
-        return SourceSpan(filename, line, col, line, col + length - 1)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        matched = False
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token("punct", p, span(len(p))))
-                i += len(p)
-                col += len(p)
-                matched = True
-                break
-        if matched:
-            continue
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    out.append({"n": "\n", "t": "\t"}.get(text[j + 1], text[j + 1]))
-                    j += 2
-                elif text[j] == "\n":
-                    break
-                else:
-                    out.append(text[j])
-                    j += 1
-            if j >= n or text[j] != '"':
-                raise LexError(error("E-SYNTAX", "unterminated string", span=span(1)))
-            length = j - i + 1
-            tokens.append(Token("string", "".join(out), span(length)))
-            i = j + 1
-            col += length
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            tokens.append(Token("number", text[i:j], span(j - i)))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            # hyphen joins identifiers but never swallows an arrow
-            while j < n and (text[j].isalnum() or text[j] == "_"
-                             or (text[j] == "-" and not text.startswith("->", j))):
-                j += 1
-            tokens.append(Token("ident", text[i:j], span(j - i)))
-            col += j - i
-            i = j
-            continue
-        raise LexError(error("E-SYNTAX", f"unexpected character {c!r}", span=span(1)))
-    tokens.append(Token("eof", "", SourceSpan(filename, line, col, line, col)))
+    append = tokens.append
+    new = tuple.__new__  # builds a Token without the call frame of Token(...)
+    ascii_only = text.isascii()
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 2:
+            value = m[2]
+            if "\\" in value:
+                value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), value)
+            start, end = m.span(2)
+            append(new(Token, ("string", value, start - 1, end + 1)))
+        elif group < 5:
+            start, end = m.span(group)
+            value = m[group]
+            if group == 4 and not ascii_only and not (value[0].isalpha() or value[0] == "_"):
+                # \w also admits numerals such as '½', which may not start a name
+                raise _lex_error(text, filename, f"unexpected character {value[0]!r}", start)
+            append(new(Token, (_KINDS[group], value, start, end)))
+        elif group == 5:
+            break
+        else:
+            char, start = m[6], m.start(6)
+            message = "unterminated string" if char == '"' else f"unexpected character {char!r}"
+            raise _lex_error(text, filename, message, start)
+    # the end-of-file token sits at the '#' of a comment that ends the text
+    # without a newline, else just past the last character
+    tail = m.start()
+    hash_at = text.find("#", max(tail, text.rfind("\n", tail) + 1))
+    end = len(text) if hash_at < 0 else hash_at
+    append(new(Token, ("eof", "", end, end)))
     return tokens
 
 
+def _lex_error(text: str, filename: str, message: str, start: int) -> LexError:
+    span = SpanMap(text, filename).span(start, start + 1)
+    return LexError(error("E-SYNTAX", message, span=span))
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token], filename: str):
-        self.tokens = tokens
+    def __init__(self, text: str, filename: str):
+        self.tokens = tokenize(text, filename)
         self.pos = 0
         self.filename = filename
+        self.spans = SpanMap(text, filename)
+
+    def span(self, tok: Token) -> SourceSpan:
+        return self.spans.span(tok.start, tok.end)
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -159,40 +173,50 @@ class _Parser:
             self.pos += 1
         return tok
 
+    # Matched tokens are never the end-of-file token, so the matchers below
+    # step past them without the check in `take`.
+
     def at(self, value: str) -> bool:
-        return self.peek().value == value and self.peek().kind in ("ident", "punct")
+        tok = self.tokens[self.pos]
+        return tok.value == value and tok.kind in _WORD_KINDS
 
     def accept(self, value: str) -> Token | None:
-        if self.at(value):
-            return self.take()
+        tok = self.tokens[self.pos]
+        if tok.value == value and tok.kind in _WORD_KINDS:
+            self.pos += 1
+            return tok
         return None
 
     def fail(self, message: str) -> LexError:
-        return LexError(error("E-SYNTAX", message, span=self.peek().span))
+        return LexError(error("E-SYNTAX", message, span=self.span(self.peek())))
 
     def expect(self, value: str) -> Token:
-        tok = self.peek()
-        if tok.value != value or tok.kind not in ("ident", "punct"):
+        tok = self.tokens[self.pos]
+        if tok.value != value or tok.kind not in _WORD_KINDS:
             raise self.fail(f"expected {value!r}, found {tok.value or 'end of file'!r}")
-        return self.take()
+        self.pos += 1
+        return tok
 
     def ident(self, what: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "ident":
             raise self.fail(f"expected {what}, found {tok.value or 'end of file'!r}")
-        return self.take()
+        self.pos += 1
+        return tok
 
     def string(self, what: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "string":
             raise self.fail(f"expected {what} string, found {tok.value or 'end of file'!r}")
-        return self.take()
+        self.pos += 1
+        return tok
 
     def number(self, what: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "number":
             raise self.fail(f"expected {what}, found {tok.value or 'end of file'!r}")
-        return self.take()
+        self.pos += 1
+        return tok
 
     def display(self) -> str | None:
         if self.accept("as"):
@@ -212,7 +236,7 @@ class _Parser:
 def parse_fld(text: str, filename: str = "<fld>") -> ParseResult[Megamodel]:
     """Parse one megamodel; on success the result passes check_megamodel."""
     try:
-        parser = _Parser(tokenize(text, filename), filename)
+        parser = _Parser(text, filename)
         mm = _parse_megamodel(parser)
     except LexError as exc:
         return ParseResult(None, [exc.diagnostic])
@@ -231,7 +255,7 @@ def _parse_megamodel(p: _Parser) -> Megamodel:
 
 def parse_megamodel_block(p: _Parser) -> Megamodel:
     """Parse `megamodel STRING { ... }` from the current token position."""
-    start = p.expect("megamodel").span
+    start = p.span(p.expect("megamodel"))
     name = p.string("megamodel name").value
     mm = Megamodel(name, span=start)
     p.expect("{")
@@ -246,14 +270,14 @@ def parse_megamodel_block(p: _Parser) -> Megamodel:
             if p.accept(":"):
                 stereotype = p.ident("model stereotype").value
             ref = bool(p.accept("megamodel-ref"))
-            mm.slots.append(ModelSlot(ident.value, stereotype, ref, display, ident.span))
+            mm.slots.append(ModelSlot(ident.value, stereotype, ref, display, p.span(ident)))
         elif tok.value in ("initial", "final", "destruction"):
             role = p.take().value
             ident = p.ident("state name")
             display = p.display()
             mm.states.append(ControlState(
                 ident.value, "final" if role == "destruction" else role,
-                destruction=role == "destruction", display=display, span=ident.span))
+                destruction=role == "destruction", display=display, span=p.span(ident)))
         elif tok.value in ("operation", "complex"):
             mm.operations.append(_parse_operation(p))
         elif p.accept("decision"):
@@ -262,7 +286,7 @@ def parse_megamodel_block(p: _Parser) -> Megamodel:
             src = p.endpoint()
             arrow = p.expect("->")
             dst = p.endpoint()
-            mm.flows.append(FlowEdge(src, dst, arrow.span))
+            mm.flows.append(FlowEdge(src, dst, p.span(arrow)))
         else:
             raise p.fail(f"unexpected {tok.value!r} in megamodel block")
     p.expect("}")
@@ -277,7 +301,7 @@ def _parse_operation(p: _Parser) -> Operation:
     if p.accept("<<"):
         stereotype = p.ident("stereotype").value
         p.expect(">>")
-    op = Operation(ident.value, kind, stereotype, display=display, span=ident.span)
+    op = Operation(ident.value, kind, stereotype, display=display, span=p.span(ident))
     p.expect("{")
     if p.accept("entries"):
         op.entries = tuple(_ident_list(p))
@@ -286,7 +310,7 @@ def _parse_operation(p: _Parser) -> Operation:
     while p.peek().value in _USAGE_KEYWORDS:
         keyword = p.take()
         slot = p.ident("model name")
-        op.usages.append(ModelUsage(_USAGE_KEYWORDS[keyword.value], slot.value, slot.span))
+        op.usages.append(ModelUsage(_USAGE_KEYWORDS[keyword.value], slot.value, p.span(slot)))
     p.expect("}")
     return op
 
@@ -302,20 +326,20 @@ def _ident_list(p: _Parser) -> list[str]:
 
 def _parse_decision(p: _Parser) -> DecisionNode:
     ident = p.ident("decision name")
-    dec = DecisionNode(ident.value, span=ident.span)
+    dec = DecisionNode(ident.value, span=p.span(ident))
     p.expect("{")
     while p.at("when"):
         p.take()
         raw = p.string("condition")
         expr = conditions.parse_condition(raw.value, p.filename)
         if isinstance(expr, Diagnostic):
-            expr.span = raw.span
+            expr.span = p.span(raw)
             raise LexError(expr)
         arrow = p.expect("->")
-        dec.branches.append(DecisionBranch(expr, p.endpoint(), arrow.span))
+        dec.branches.append(DecisionBranch(expr, p.endpoint(), p.span(arrow)))
     p.expect("else")
     arrow = p.expect("->")
-    dec.branches.append(DecisionBranch(None, p.endpoint(), arrow.span))
+    dec.branches.append(DecisionBranch(None, p.endpoint(), p.span(arrow)))
     p.expect("}")
     return dec
 
@@ -362,7 +386,7 @@ def serialize_fld(mm: Megamodel) -> str:
 def parse_ld(text: str, filename: str = "<ld>") -> ParseResult[ArchitectureDecl]:
     """Parse one architecture; megamodel names stay unresolved until load."""
     try:
-        parser = _Parser(tokenize(text, filename), filename)
+        parser = _Parser(text, filename)
         arch = _parse_architecture(parser)
     except LexError as exc:
         return ParseResult(None, [exc.diagnostic])
@@ -370,7 +394,7 @@ def parse_ld(text: str, filename: str = "<ld>") -> ParseResult[ArchitectureDecl]
 
 
 def _parse_architecture(p: _Parser) -> ArchitectureDecl:
-    start = p.expect("architecture").span
+    start = p.span(p.expect("architecture"))
     name = p.string("architecture name").value
     arch = ArchitectureDecl(name, span=start)
     p.expect("{")
@@ -392,7 +416,7 @@ def _parse_architecture(p: _Parser) -> ArchitectureDecl:
                 source = p.string("source reference").value
                 layer.modules.append(ModuleDecl(
                     ident.value, "megamodel" if kw == "module" else "software",
-                    source, ident.span))
+                    source, p.span(ident)))
             p.expect("}")
             arch.layers.append(layer)
         elif p.accept("use"):
@@ -401,7 +425,7 @@ def _parse_architecture(p: _Parser) -> ArchitectureDecl:
             op = p.ident("operation name")
             arrow = p.expect("->")
             target = p.ident("target module")
-            arch.use_edges.append(UseEdge(src.value, op.value, target.value, arrow.span))
+            arch.use_edges.append(UseEdge(src.value, op.value, target.value, p.span(arrow)))
         elif p.accept("sense"):
             src = p.ident("sensing module")
             p.expect("<-")
@@ -410,15 +434,15 @@ def _parse_architecture(p: _Parser) -> ArchitectureDecl:
             mode = p.ident("mode")
             if mode.value != "r":
                 raise LexError(error("E-SYNTAX", "sense edges carry mode r",
-                                     span=mode.span))
+                                     span=p.span(mode)))
             p.expect("]")
             trigger = None
             if p.accept("trigger"):
                 raw = p.string("trigger")
-                trigger = parse_trigger(raw.value, p.filename, raw.span)
+                trigger = parse_trigger(raw.value, p.filename, p.span(raw))
                 if isinstance(trigger, Diagnostic):
                     raise LexError(trigger)
-            arch.sense_edges.append(SenseEdge(src.value, sensed.value, trigger, src.span))
+            arch.sense_edges.append(SenseEdge(src.value, sensed.value, trigger, p.span(src)))
         elif p.accept("effect"):
             src = p.ident("effecting module")
             p.expect("->")
@@ -427,10 +451,10 @@ def _parse_architecture(p: _Parser) -> ArchitectureDecl:
             mode = p.ident("mode")
             if mode.value not in ("w", "a"):
                 raise LexError(error("E-SYNTAX", "effect edges carry mode w or a",
-                                     span=mode.span))
+                                     span=p.span(mode)))
             p.expect("]")
             arch.effect_edges.append(EffectEdge(src.value, effected.value, mode.value,
-                                                src.span))
+                                                p.span(src)))
         elif p.accept("bind-model"):
             module = p.ident("module name")
             p.expect(".")
@@ -438,7 +462,7 @@ def _parse_architecture(p: _Parser) -> ArchitectureDecl:
             p.expect("->")
             target = p.ident("target instance")
             arch.model_bindings.append(ModelBinding(module.value, slot.value,
-                                                    target.value, module.span))
+                                                    target.value, p.span(module)))
         else:
             raise p.fail(f"unexpected {tok.value!r} in architecture block")
     p.expect("}")

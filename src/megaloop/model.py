@@ -123,6 +123,19 @@ class Megamodel:
     def slot(self, name: str) -> ModelSlot | None:
         return next((s for s in self.slots if s.name == name), None)
 
+    def instance_copy(self) -> "Megamodel":
+        """A copy for one module instance.
+
+        Slots, states, operations and flows are shared: nothing changes them
+        after parsing.  Decisions and their branches are copied, because a
+        branch condition is the one element a reflective edit replaces.
+        """
+        decisions = [DecisionNode(d.name, [DecisionBranch(b.condition, b.target, b.span)
+                                           for b in d.branches], d.span)
+                     for d in self.decisions]
+        return Megamodel(self.name, list(self.slots), list(self.states),
+                         list(self.operations), decisions, list(self.flows), self.span)
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -402,6 +415,18 @@ class ArchitectureDecl:
             if any(m.instance_name == name for m in layer.modules):
                 return layer.index
         return None
+
+    def copy(self) -> "ArchitectureDecl":
+        """A staging copy: new layer module lists and edge lists, shared elements.
+
+        Modules and edges are never changed in place (a trigger change
+        replaces its sense edge), so sharing them cannot leak a staged
+        change into the original.
+        """
+        layers = [Layer(l.index, l.name, list(l.modules)) for l in self.layers]
+        return ArchitectureDecl(self.name, layers, list(self.use_edges),
+                                list(self.sense_edges), list(self.effect_edges),
+                                list(self.model_bindings), self.span)
 
     def use_edge_for(self, module: str, op: str) -> UseEdge | None:
         return next((e for e in self.use_edges if e.source == module and e.op == op), None)

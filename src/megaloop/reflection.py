@@ -1,13 +1,21 @@
 """Evolution of a running engine: patches, rebinding, snapshots, audits.
 
 A patch is an ordered list of name-resolved steps applied all-or-nothing
-against the live architecture.  Every structural change (patch, rebind,
-trigger change) lands at a quiescent point: from other threads it is
-submitted to the engine inbox, which the loop drains only between runs,
-and called from inside a run it is refused with E-EDIT-INVALID.  The one
-structural change a run makes itself is a destruction state, which
-removes its instance after the run's end record.  A change is re-validated
-and leaves the engine untouched on failure.
+against the live architecture.  Its steps run on a structural copy
+(`ArchitectureDecl.copy`): new layer module lists and edge lists that share
+the module and edge objects with the live architecture.  Sharing is safe
+because no step changes a module or an edge in place; a trigger change
+replaces its sense edge with a new one, here and in `set_trigger_now`.  The
+copy becomes the live architecture only after it validates, so a failed
+patch leaves the engine untouched.
+
+Every structural change (patch, rebind, trigger change) lands at a
+quiescent point: from other threads it is submitted to the engine inbox,
+which the loop drains only between runs, and called from inside a run it
+is refused with E-EDIT-INVALID.  The one structural change a run makes
+itself is a destruction state, which removes its instance after the run's
+end record.  A change is re-validated and leaves the engine untouched on
+failure.
 
 Snapshots are a single JSON container that embeds the .ld/.fld texts
 verbatim next to model bodies and per-instance histories:
@@ -28,7 +36,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import dsl
 from .clock import MonotonicClock, VirtualClock
@@ -68,7 +76,7 @@ class PatchReport:
 
 def parse_patch(text: str, filename: str = "<patch>") -> dsl.ParseResult[Patch]:
     try:
-        parser = dsl._Parser(dsl.tokenize(text, filename), filename)
+        parser = dsl._Parser(text, filename)
         patch = _parse_patch(parser)
     except dsl.LexError as exc:
         return dsl.ParseResult(None, [exc.diagnostic])
@@ -179,7 +187,7 @@ def apply_patch_now(engine: Engine, patch: Patch) -> PatchReport:
     engine.require_quiescent("patch")
     if engine.arch is None:
         raise EngineError("E-PATCH-RESOLVE", "engine has no loaded architecture")
-    arch = copy.deepcopy(engine.arch)
+    arch = engine.arch.copy()
     registry = dict(engine.registry)
     added: list[str] = []
     removed: list[str] = []
@@ -277,14 +285,13 @@ def apply_patch_now(engine: Engine, patch: Patch) -> PatchReport:
             arch.model_bindings.append(ModelBinding(module, slot, target))
         elif kind == "setTrigger":
             src, sensed, trigger_text = args
-            edge = next((e for e in arch.sense_edges
-                         if e.source == src and e.sensed == sensed), None)
-            if edge is None:
+            at = _sense_edge_at(arch, src, sensed)
+            if at is None:
                 raise resolve_fail(f"no sense edge {src} <- {sensed}")
             trigger = parse_trigger(trigger_text)
             if isinstance(trigger, Diagnostic):
                 raise resolve_fail(f"bad trigger: {trigger.message}")
-            edge.trigger = trigger
+            arch.sense_edges[at] = replace(arch.sense_edges[at], trigger=trigger)
         elif kind == "seedModel":
             module, slot, body = args
             mod = arch.find_module(module)
@@ -325,6 +332,11 @@ def _need_module(arch: ArchitectureDecl, name: str, resolve_fail) -> ModuleDecl:
     if mod is None:
         raise resolve_fail(f"no module {name!r}")
     return mod
+
+
+def _sense_edge_at(arch: ArchitectureDecl, src: str, sensed: str) -> int | None:
+    return next((i for i, e in enumerate(arch.sense_edges)
+                 if e.source == src and e.sensed == sensed), None)
 
 
 def _remove_edge(arch: ArchitectureDecl, args: tuple, resolve_fail) -> None:
@@ -394,9 +406,8 @@ def set_trigger_now(engine: Engine, sensing: str, sensed: str, trigger_text: str
     engine.require_quiescent("setTrigger")
     if engine.arch is None:
         raise EngineError("E-EDIT-INVALID", "engine has no loaded architecture")
-    edge = next((e for e in engine.arch.sense_edges
-                 if e.source == sensing and e.sensed == sensed), None)
-    if edge is None:
+    at = _sense_edge_at(engine.arch, sensing, sensed)
+    if at is None:
         raise EngineError("E-EDIT-INVALID", f"no sense edge {sensing} <- {sensed}")
     trigger = parse_trigger(trigger_text)
     if isinstance(trigger, Diagnostic):
@@ -408,7 +419,8 @@ def set_trigger_now(engine: Engine, sensing: str, sensed: str, trigger_text: str
             raise EngineError("E-EDIT-INVALID",
                               f"initial state {trigger.initial_state!r} is not an "
                               f"entry state of {sensing!r}")
-    edge.trigger = trigger
+    edges = engine.arch.sense_edges
+    edges[at] = replace(edges[at], trigger=trigger)
     engine._rebuild_routing()
     engine.log_mutation("setTrigger", f"{sensing} <- {sensed}: {trigger.to_text()}")
 

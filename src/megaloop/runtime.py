@@ -135,7 +135,13 @@ class _DispatchPlan:
 
 
 class ModuleInstance:
-    """A live megamodel module: its own megamodel copy, bindings, history."""
+    """A live megamodel module: its megamodel, bindings and history.
+
+    The megamodel is an instance copy (`Megamodel.instance_copy`): it shares
+    the immutable slots, states, operations and flows with the registry's
+    definition and owns its decisions, so a reflective condition edit on one
+    instance is seen by no other.
+    """
 
     def __init__(self, name: str, megamodel: Megamodel):
         self.name = name
@@ -257,7 +263,7 @@ class Engine:
     def _create_instance(self, mod: ModuleDecl) -> ModuleInstance:
         if mod.instance_name in self.instances:
             raise EngineError("E-NAME-DUP", f"instance {mod.instance_name!r} already exists")
-        inst = ModuleInstance(mod.instance_name, copy.deepcopy(self.registry[mod.source_ref]))
+        inst = ModuleInstance(mod.instance_name, self.registry[mod.source_ref].instance_copy())
         self.instances[mod.instance_name] = inst
         for slot in inst.megamodel.slots:
             if not slot.megamodel_ref:
@@ -324,7 +330,7 @@ class Engine:
             raise EngineError("E-PATCH-INVALID", f"megamodel {mm.name!r} is invalid", diags)
         if instance_name in self.instances:
             raise EngineError("E-NAME-DUP", f"instance {instance_name!r} already exists")
-        inst = ModuleInstance(instance_name, copy.deepcopy(mm))
+        inst = ModuleInstance(instance_name, mm.instance_copy())
         bindings = bindings or {}
         for op in inst.megamodel.operations:
             bound = bindings.get(op.name)
@@ -778,7 +784,7 @@ class Engine:
             expr = parse_condition(expr_text)
             if isinstance(expr, Diagnostic):
                 raise EngineError("E-EDIT-INVALID", f"bad condition: {expr}")
-            probe = copy.deepcopy(inst.megamodel)
+            probe = inst.megamodel.instance_copy()
             probe.decision(decision_name).branches[branch_idx].condition = expr
             diags = check_megamodel(probe)
             if has_errors(diags):

@@ -41,7 +41,7 @@ class Script:
 
 def parse_script(text: str, filename: str = "<script>") -> dsl.ParseResult[Script]:
     try:
-        parser = dsl._Parser(dsl.tokenize(text, filename), filename)
+        parser = dsl._Parser(text, filename)
         script = _parse_script(parser)
     except dsl.LexError as exc:
         return dsl.ParseResult(None, [exc.diagnostic])

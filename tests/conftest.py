@@ -144,3 +144,84 @@ def _random_target(rng: random.Random, mm: Megamodel) -> Endpoint:
             choices.append(Endpoint(op.name))
     choices.extend(Endpoint(d.name) for d in mm.decisions)
     return rng.choice(choices)
+
+
+# --- reference lexer ------------------------------------------------------------------
+
+_PUNCT = ("->", "<-", "<<", ">>", "{", "}", "[", "]", ".", ",", ";", ":", "=")
+
+
+def char_loop_tokens(text: str) -> list[tuple]:
+    """The character-by-character tokenizer that `dsl.tokenize` replaced.
+
+    Kept as an oracle for the one-pass lexer.  Yields one
+    `(kind, value, line, column, end_line, end_column)` tuple per token; a
+    lexical error ends the list with `("error", message, line, column, ...)`.
+    """
+    tokens: list[tuple] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+
+    def tok(kind: str, value: str, length: int) -> tuple:
+        return (kind, value, line, col, line, col + length - 1)
+
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        punct = next((p for p in _PUNCT if text.startswith(p, i)), None)
+        if punct is not None:
+            tokens.append(tok("punct", punct, len(punct)))
+            i += len(punct)
+            col += len(punct)
+            continue
+        if c == '"':
+            j = i + 1
+            out = []
+            while j < n and text[j] != '"':
+                if text[j] == "\\" and j + 1 < n:
+                    out.append({"n": "\n", "t": "\t"}.get(text[j + 1], text[j + 1]))
+                    j += 2
+                elif text[j] == "\n":
+                    break
+                else:
+                    out.append(text[j])
+                    j += 1
+            if j >= n or text[j] != '"':
+                return tokens + [tok("error", "unterminated string", 1)]
+            length = j - i + 1
+            tokens.append(tok("string", "".join(out), length))
+            i = j + 1
+            col += length
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            tokens.append(tok("number", text[i:j], j - i))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"
+                             or (text[j] == "-" and not text.startswith("->", j))):
+                j += 1
+            tokens.append(tok("ident", text[i:j], j - i))
+            col += j - i
+            i = j
+            continue
+        return tokens + [tok("error", f"unexpected character {c!r}", 1)]
+    tokens.append(("eof", "", line, col, line, col))
+    return tokens

@@ -141,6 +141,37 @@ class TestCheckArchitecture:
         assert "E-BIND-MISSING" in missing
 
 
+class TestStructuralCopies:
+    def test_architecture_copy_owns_its_lists_and_shares_elements(self):
+        arch = dsl.parse_ld((LD_DIR / "layered-strategies.ld").read_text()).unwrap()
+        text = dsl.serialize_ld(arch)
+        staged = arch.copy()
+        assert staged == arch
+        assert not any(a is b for a, b in zip(staged.layers, arch.layers))
+        pairs = [(staged.use_edges, arch.use_edges), (staged.sense_edges, arch.sense_edges),
+                 (staged.effect_edges, arch.effect_edges),
+                 (staged.model_bindings, arch.model_bindings)]
+        pairs += [(a.modules, b.modules) for a, b in zip(staged.layers, arch.layers)]
+        for mine, theirs in pairs:
+            assert mine is not theirs
+            assert all(x is y for x, y in zip(mine, theirs))
+        staged.layers[1].modules.append(ModuleDecl("extra", "megamodel", "Self-repair"))
+        staged.remove_module("selfRepairStrategies")
+        staged.sense_edges.clear()
+        assert dsl.serialize_ld(arch) == text
+
+    def test_instance_copy_owns_decisions_only(self, registry):
+        mm = registry["Self-repair"]
+        text = dsl.serialize_fld(mm)
+        inst = mm.instance_copy()
+        assert inst == mm
+        assert inst.operations[0] is mm.operations[0] and inst.flows[0] is mm.flows[0]
+        assert inst.decisions[0] is not mm.decisions[0]
+        assert inst.decisions[0].branches[0] is not mm.decisions[0].branches[0]
+        inst.decisions[0].branches[0].condition = None
+        assert dsl.serialize_fld(mm) == text
+
+
 class TestEventTypes:
     def test_hierarchy_walk(self):
         reg = EventTypeRegistry()

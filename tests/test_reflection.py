@@ -88,6 +88,40 @@ class TestPatches:
         assert engine.arch.find_module("selfRepairStrategies") is None
         assert not any(mid.startswith("selfRepairStrategies.") for mid in engine.store)
 
+    def test_failed_patch_leaves_shared_structure_untouched(self):
+        engine = fresh("self-repair.ld")
+        before = state_fingerprint(engine)
+        listing = dsl.serialize_ld(engine.arch)
+        edge = engine.arch.sense_edges[0]
+        trigger = edge.trigger
+        layers = [(layer, layer.modules, list(layer.modules)) for layer in engine.arch.layers]
+        patch = parse_patch(
+            'patch "half" {\n'
+            '  set-trigger selfRepair <- mRUBiS "RtException; 1s; Monitor;"\n'
+            '  add-module 1 ghost "Self-repair-A"\n'
+            '  remove-module nobody\n'
+            '}\n').unwrap()
+        with pytest.raises(EngineError) as err:
+            apply_patch_now(engine, patch)
+        assert err.value.code == "E-PATCH-RESOLVE" and "nobody" in str(err.value)
+        assert state_fingerprint(engine) == before
+        assert dsl.serialize_ld(engine.arch) == listing
+        assert engine.arch.sense_edges[0] is edge and edge.trigger is trigger
+        for layer, modules, saved in layers:
+            assert layer.modules is modules and modules == saved
+
+        # event routing and the period gate still follow the old 10 s trigger:
+        # the events at 3 s and 5 s wait for the gate (the staged 1 s one would not)
+        script = parse_script("event RtException\n" + "\n".join(
+            f"at {t}s emit RtException from mRUBiS" for t in (1, 3, 5)))
+        control = fresh("self-repair.ld")
+        for e in (engine, control):
+            e.run(duration=25, script=script.unwrap())
+        runs = [(r["instance"], r["start"], r["cause"]) for r in engine.run_audit]
+        assert runs == [(r["instance"], r["start"], r["cause"]) for r in control.run_audit]
+        starts = [start for name, start, _ in runs if name == "selfRepair"]
+        assert starts == pytest.approx([1.0, 11.0])
+
 
 class TestRebinding:
     def test_rebind_to_alternative_analysis(self):
@@ -237,6 +271,30 @@ class TestReflectQueryAndEdit:
         assert engine.structural_mutations == []
 
 
+class TestInstanceIsolation:
+    def test_condition_edit_stays_in_its_instance(self):
+        engine = fresh("layered-base.ld")
+        definition = dsl.serialize_fld(engine.registry["Self-repair"])
+        twin = engine.instantiate("Self-repair", "twin")
+        edited = engine.instances["selfRepair"]
+        assert twin.megamodel.operations[0] is edited.megamodel.operations[0]
+        engine.reflect_edit("selfRepair", ("setDecisionCondition", "NeedDeepAnalysis", 0,
+                                           "runsSince(CheckForFailures -> no_failures) > 3"))
+        edited_text = dsl.serialize_fld(edited.megamodel)
+        assert "no_failures) > 3" in edited_text
+        assert dsl.serialize_fld(engine.registry["Self-repair"]) == definition
+        assert dsl.serialize_fld(twin.megamodel) == definition
+
+        # a condition naming an unknown operation fails the probe's validation
+        with pytest.raises(EngineError) as err:
+            engine.reflect_edit("selfRepair", ("setDecisionCondition", "NeedDeepAnalysis",
+                                               0, "executions(GhostOp) > 1"))
+        assert err.value.code == "E-EDIT-INVALID"
+        assert dsl.serialize_fld(edited.megamodel) == edited_text
+        assert dsl.serialize_fld(engine.registry["Self-repair"]) == definition
+        assert dsl.serialize_fld(twin.megamodel) == definition
+
+
 class TestSetTrigger:
     def test_set_trigger_replaces_spec(self):
         engine = fresh("layered-base.ld")
@@ -244,6 +302,14 @@ class TestSetTrigger:
         edge = engine.arch.sense_edges[0]
         assert edge.trigger.period == pytest.approx(0.2)
         assert len(engine.structural_mutations) == 1
+
+    def test_set_trigger_replaces_the_edge(self):
+        engine = fresh("layered-base.ld")
+        old = engine.arch.sense_edges[0]
+        old_trigger = old.trigger
+        set_trigger_now(engine, "selfRepair", "mRUBiS", "RtException; 0.2s; Monitor;")
+        assert engine.arch.sense_edges[0] is not old
+        assert old.trigger is old_trigger  # a staging copy sharing `old` sees no change
 
     def test_set_trigger_validates_initial_state(self):
         engine = fresh("layered-base.ld")
