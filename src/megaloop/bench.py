@@ -11,14 +11,14 @@ Period anchoring: "start" paces runs on an absolute start-to-start grid
 (the period is the time between two consecutive activations); "end" waits
 out the period after each run ends, which is the engine's trigger default.
 
-Pacing waits default to a busy spin.  Under virtualized kernels a blocking
-sleep evicts the process working set, inflating whatever code runs next by
-an order of magnitude; spinning keeps run costs representative of a host
-whose caches stay warm between activations, and the wait strategy is
-identical for both modes either way.  Mean CPU utilization integrates the
-per-run wall spans over the window: the runs are pure computation that
-never blocks, and the sandbox's process CPU clock only moves in ~10ms
-steps, far too coarse for sub-percent comparisons.
+Pacing waits always spin.  Under virtualized kernels a blocking sleep
+evicts the process working set, inflating whatever code runs next by an
+order of magnitude; spinning keeps run costs representative of a host whose
+caches stay warm between activations, and the wait strategy is identical
+for both modes.  Mean CPU utilization integrates the per-run wall spans
+over the window: the runs are pure computation that never blocks, and the
+sandbox's process CPU clock only moves in ~10ms steps, far too coarse for
+sub-percent comparisons.
 """
 
 from __future__ import annotations
@@ -118,7 +118,6 @@ class BenchConfig:
     period_ms_values: tuple[int, ...] = STANDARD_PERIOD_MS
     duration_s: float = 10.0
     period_anchor: str = "start"  # see module docstring
-    pacing: str = "spin"          # "spin" | "sleep"
 
 
 @dataclass
@@ -188,20 +187,8 @@ def make_mocks(compute_s: float, sink: list[tuple[str, str]]) -> dict:
     return {name: mock(name, exit) for name, exit in MOCK_EXITS.items()}
 
 
-SPIN_S = 0.002  # sleep pacing wakes early and spins the rest for precise starts
-
-
-def _wait_until(target: float, pacing: str) -> None:
-    if pacing == "sleep":
-        delay = target - time.perf_counter() - SPIN_S
-        if delay > 0:
-            time.sleep(delay)
-    while time.perf_counter() < target:
-        pass
-
-
-def _run_schedule(run_once, period_s: float, duration_s: float, anchor: str,
-                  pacing: str) -> list[tuple[float, float]]:
+def _run_schedule(run_once, period_s: float, duration_s: float,
+                  anchor: str) -> list[tuple[float, float]]:
     """Pace run_once on the period grid; returns per-run (start, end) times."""
     spans: list[tuple[float, float]] = []
     t0 = time.perf_counter()
@@ -217,15 +204,15 @@ def _run_schedule(run_once, period_s: float, duration_s: float, anchor: str,
             target = spans[-1][1] + period_s if spans else t0
         if target >= deadline:
             return spans
-        _wait_until(target, pacing)
+        while time.perf_counter() < target:  # spin: see module docstring
+            pass
         start = time.perf_counter()
         run_once()
         spans.append((start, time.perf_counter()))
         k += 1
 
 
-def _measure(run_once, sink: list, period_s: float, duration_s: float, anchor: str,
-             pacing: str):
+def _measure(run_once, sink: list, period_s: float, duration_s: float, anchor: str):
     """Warm up, then measure: (run spans, op sequence, window seconds).
 
     The loop's runs are pure computation (they never block), so the mean
@@ -235,12 +222,12 @@ def _measure(run_once, sink: list, period_s: float, duration_s: float, anchor: s
         run_once()
     del sink[:]
     t0 = time.perf_counter()
-    spans = _run_schedule(run_once, period_s, duration_s, anchor, pacing)
+    spans = _run_schedule(run_once, period_s, duration_s, anchor)
     return spans, list(sink), time.perf_counter() - t0
 
 
 def run_combo(compute_ms: int, period_ms: int, mode: str, duration_s: float,
-              anchor: str = "start", pacing: str = "spin") -> ComboResult:
+              anchor: str = "start") -> ComboResult:
     compute_s = compute_ms / 1000.0
     period_s = period_ms / 1000.0
     sink: list[tuple[str, str]] = []
@@ -268,7 +255,7 @@ def run_combo(compute_ms: int, period_ms: int, mode: str, duration_s: float,
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    spans, sequence, window = _measure(run_once, sink, period_s, duration_s, anchor, pacing)
+    spans, sequence, window = _measure(run_once, sink, period_s, duration_s, anchor)
     run_ms = [(end - start) * 1000.0 for start, end in spans]
     median_ms = statistics.median(run_ms) if run_ms else 0.0
     # robust load estimate: typical per-run cost times the rate; immune to
@@ -301,12 +288,5 @@ def run_benchmark(config: BenchConfig | None = None, *, progress=None) -> BenchR
                 if progress:
                     progress(f"c{compute_ms}ms-p{period_ms}ms {mode}")
                 report.results.append(run_combo(compute_ms, period_ms, mode,
-                                                config.duration_s, config.period_anchor,
-                                                config.pacing))
+                                                config.duration_s, config.period_anchor))
     return report
-
-
-def baseline_loop(compute_ms: int, period_ms: int, duration_s: float,
-                  anchor: str = "start", pacing: str = "spin") -> ComboResult:
-    """The hard-coded solution alone, for direct comparisons."""
-    return run_combo(compute_ms, period_ms, "baseline", duration_s, anchor, pacing)

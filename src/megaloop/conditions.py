@@ -17,10 +17,16 @@ boolean connectives and/or/not.  A condition as a whole must be boolean.
 
 Runs aborted by an engine error do not contribute matches: a failed run
 must not be counted as a success by any condition.
+
+`compile_condition` is the one evaluator: it turns a parsed condition into
+a closure over (history, now), and `eval_condition` compiles and calls.  The
+tree-walking evaluator it replaced is kept in `tests/conftest.py` as the
+oracle the compiled closures are checked against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Protocol, Union
 
@@ -79,10 +85,15 @@ class HistoryView(Protocol):
 # --- parsing -----------------------------------------------------------------
 
 _PUNCT = ("->", "(", ")", "<=", ">=", "==", "!=", "<", ">")
+MAX_NESTING = 64  # '(' and 'not' open at once; deeper text is a syntax error
 
 
-def _tokenize(text: str, filename: str) -> list[tuple[str, str, int]] | Diagnostic:
-    """Return (kind, value, column) tokens or a syntax diagnostic."""
+class _SyntaxFailure(Exception):
+    """(message, column) of the first syntax error; parse_condition reports it."""
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Return (kind, value, column) tokens, ending with an "eof" token."""
     tokens: list[tuple[str, str, int]] = []
     i, n = 0, len(text)
     while i < n:
@@ -90,33 +101,26 @@ def _tokenize(text: str, filename: str) -> list[tuple[str, str, int]] | Diagnost
         if c.isspace():
             i += 1
             continue
-        matched = False
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(("punct", p, i + 1))
-                i += len(p)
-                matched = True
-                break
-        if matched:
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
+        punct = next((p for p in _PUNCT if text.startswith(p, i)), None)
+        if punct is not None:
+            tokens.append(("punct", punct, i + 1))
+            i += len(punct)
+        elif c.isdigit() or (c == "." and text[i + 1:i + 2].isdigit()):
+            j = i + 1
             while j < n and (text[j].isdigit() or text[j] == "."):
                 j += 1
             tokens.append(("number", text[i:j], i + 1))
             i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
+        elif c.isalpha() or c == "_":
+            j = i + 1
             # '-' is legal inside identifiers, but never as part of '->'
             while j < n and (text[j].isalnum() or text[j] == "_"
                              or (text[j] == "-" and not text.startswith("->", j))):
                 j += 1
             tokens.append(("ident", text[i:j], i + 1))
             i = j
-            continue
-        return error("E-SYNTAX", f"unexpected character {c!r} in condition",
-                     span=SourceSpan(filename, 1, i + 1, 1, i + 1))
+        else:
+            raise _SyntaxFailure(f"unexpected character {c!r} in condition", i + 1)
     tokens.append(("eof", "", n + 1))
     return tokens
 
@@ -126,6 +130,7 @@ class _CondParser:
         self.tokens = tokens
         self.pos = 0
         self.filename = filename
+        self.depth = 0  # '(' and 'not' currently open
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -135,142 +140,115 @@ class _CondParser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str) -> Diagnostic:
-        col = self.peek()[2]
-        return Diagnostic("error", "E-SYNTAX", message,
-                          span=SourceSpan(self.filename, 1, col, 1, col))
+    def fail(self, message: str, column: int | None = None) -> _SyntaxFailure:
+        return _SyntaxFailure(message, self.peek()[2] if column is None else column)
 
-    def expect(self, value: str) -> Diagnostic | None:
-        kind, got, _ = self.peek()
+    def expect(self, value: str) -> None:
+        got = self.peek()[1]
         if got != value:
-            return self.fail(f"expected {value!r}, found {got or 'end of input'!r}")
+            raise self.fail(f"expected {value!r}, found {got or 'end of input'!r}")
         self.take()
-        return None
+
+    def name(self, message: str) -> str:
+        kind, value, _ = self.peek()
+        if kind != "ident":
+            raise self.fail(message)
+        self.take()
+        return value
+
+    def nest(self) -> None:
+        """Take a '(' or 'not', refusing to open more than MAX_NESTING at once."""
+        if self.depth == MAX_NESTING:
+            raise self.fail(f"condition nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        self.take()
 
     # expr := or_expr ; boolean required at top level
-    def parse(self) -> ConditionExpr | Diagnostic:
+    def parse(self) -> ConditionExpr:
         expr = self.or_expr()
-        if isinstance(expr, Diagnostic):
-            return expr
         if self.peek()[0] != "eof":
-            return self.fail(f"unexpected trailing input {self.peek()[1]!r}")
+            raise self.fail(f"unexpected trailing input {self.peek()[1]!r}")
         if not _is_boolean(expr):
-            return self.fail("condition must be a boolean expression")
+            raise self.fail("condition must be a boolean expression")
         return expr
 
-    def or_expr(self) -> ConditionExpr | Diagnostic:
-        items = []
-        first = self.and_expr()
-        if isinstance(first, Diagnostic):
-            return first
-        items.append(first)
+    def or_expr(self) -> ConditionExpr:
+        items = [self.and_expr()]
         while self.peek()[1] == "or":
             self.take()
-            nxt = self.and_expr()
-            if isinstance(nxt, Diagnostic):
-                return nxt
-            items.append(nxt)
+            items.append(self.and_expr())
         return items[0] if len(items) == 1 else BoolOp("or", tuple(items))
 
-    def and_expr(self) -> ConditionExpr | Diagnostic:
-        items = []
-        first = self.not_expr()
-        if isinstance(first, Diagnostic):
-            return first
-        items.append(first)
+    def and_expr(self) -> ConditionExpr:
+        items = [self.not_expr()]
         while self.peek()[1] == "and":
             self.take()
-            nxt = self.not_expr()
-            if isinstance(nxt, Diagnostic):
-                return nxt
-            items.append(nxt)
+            items.append(self.not_expr())
         return items[0] if len(items) == 1 else BoolOp("and", tuple(items))
 
-    def not_expr(self) -> ConditionExpr | Diagnostic:
-        if self.peek()[1] == "not":
-            self.take()
-            inner = self.not_expr()
-            if isinstance(inner, Diagnostic):
-                return inner
-            if not _is_boolean(inner):
-                return self.fail("'not' applies to a boolean expression")
-            return Not(inner)
-        return self.comparison()
+    def not_expr(self) -> ConditionExpr:
+        if self.peek()[1] != "not":
+            return self.comparison()
+        self.nest()
+        inner = self.not_expr()
+        self.depth -= 1
+        if not _is_boolean(inner):
+            raise self.fail("'not' applies to a boolean expression")
+        return Not(inner)
 
-    def comparison(self) -> ConditionExpr | Diagnostic:
+    def comparison(self) -> ConditionExpr:
         left = self.value()
-        if isinstance(left, Diagnostic):
-            return left
         kind, val, _ = self.peek()
-        if kind == "punct" and val in COMPARE_OPS:
-            self.take()
-            right = self.value()
-            if isinstance(right, Diagnostic):
-                return right
-            if _is_boolean(left) or _is_boolean(right):
-                return self.fail("comparison operands must be numeric")
-            return Compare(val, left, right)
-        return left
+        if kind != "punct" or val not in COMPARE_OPS:
+            return left
+        self.take()
+        right = self.value()
+        if _is_boolean(left) or _is_boolean(right):
+            raise self.fail("comparison operands must be numeric")
+        return Compare(val, left, right)
 
-    def value(self) -> ConditionExpr | Diagnostic:
+    def value(self) -> ConditionExpr:
         kind, val, col = self.peek()
         if val == "(":
-            self.take()
+            self.nest()
             inner = self.or_expr()
-            if isinstance(inner, Diagnostic):
-                return inner
-            err = self.expect(")")
-            return err if err else inner
+            self.depth -= 1
+            self.expect(")")
+            return inner
         if kind == "number":
             self.take()
             try:
                 return Number(float(val))
             except ValueError:
-                return self.fail(f"bad number literal {val!r}")
+                raise self.fail(f"bad number literal {val!r}", col) from None
         if kind == "ident" and val in ATOM_NAMES:
             return self.atom()
         if kind == "ident":
-            return self.fail(f"unknown atom {val!r}")
-        return self.fail(f"expected a value, found {val or 'end of input'!r}")
+            raise self.fail(f"unknown atom {val!r}")
+        raise self.fail(f"expected a value, found {val or 'end of input'!r}")
 
-    def atom(self) -> ConditionExpr | Diagnostic:
+    def atom(self) -> Atom:
         _, func, col = self.take()
-        err = self.expect("(")
-        if err:
-            return err
-        if func == "runCount":
-            err = self.expect(")")
-            if err:
-                return err
-            return Atom("runCount", span=self._span(col))
-        kind, op_name, _ = self.peek()
-        if kind != "ident":
-            return self.fail(f"{func}() needs an operation name")
-        self.take()
-        exit_name = None
-        if self.peek()[1] == "->":
-            self.take()
-            kind, exit_name, _ = self.peek()
-            if kind != "ident":
-                return self.fail(f"{func}() needs an exit name after '->'")
-            self.take()
-        if func == "runsSince" and exit_name is None:
-            return self.fail("runsSince() requires an 'op -> exit' argument")
-        err = self.expect(")")
-        if err:
-            return err
-        return Atom(func, op_name, exit_name, span=self._span(col))
-
-    def _span(self, col: int) -> SourceSpan:
-        return SourceSpan(self.filename, 1, col, 1, col)
+        self.expect("(")
+        op_name = exit_name = None
+        if func != "runCount":
+            op_name = self.name(f"{func}() needs an operation name")
+            if self.peek()[1] == "->":
+                self.take()
+                exit_name = self.name(f"{func}() needs an exit name after '->'")
+            if func == "runsSince" and exit_name is None:
+                raise self.fail("runsSince() requires an 'op -> exit' argument")
+        self.expect(")")
+        return Atom(func, op_name, exit_name, span=SourceSpan(self.filename, 1, col, 1, col))
 
 
 def parse_condition(text: str, filename: str = "<condition>") -> ConditionExpr | Diagnostic:
     """Parse a condition string; returns the AST or a single diagnostic."""
-    tokens = _tokenize(text, filename)
-    if isinstance(tokens, Diagnostic):
-        return tokens
-    return _CondParser(tokens, filename).parse()
+    try:
+        return _CondParser(_tokenize(text), filename).parse()
+    except _SyntaxFailure as failure:
+        message, col = failure.args
+        return error("E-SYNTAX", message, span=SourceSpan(filename, 1, col, 1, col))
 
 
 def _is_boolean(expr: ConditionExpr) -> bool:
@@ -297,7 +275,7 @@ def condition_to_text(expr: ConditionExpr) -> str:
 # precedence levels: or=1, and=2, not=3, cmp=4, value=5
 def _render(expr: ConditionExpr, parent_level: int) -> str:
     if isinstance(expr, Number):
-        return f"{expr.value:g}"
+        return _number_text(expr.value)
     if isinstance(expr, Atom):
         if expr.func == "runCount":
             return "runCount()"
@@ -315,47 +293,29 @@ def _render(expr: ConditionExpr, parent_level: int) -> str:
     raise TypeError(f"not a condition expression: {expr!r}")
 
 
+def _number_text(value: float) -> str:
+    """A literal the lexer reads back as `value`: whole values as integers,
+    others in positional notation (the lexer has no exponents)."""
+    if value.is_integer():
+        return str(int(value))
+    if value == math.inf:
+        return "1" + "0" * 309  # a whole literal past the float range reads as inf
+    mantissa, _, exponent = repr(value).partition("e")
+    if not exponent:
+        return mantissa
+    # only values below 1e-4 print with an exponent: every float from 2**53 up is whole
+    return "0." + "0" * (-int(exponent) - 1) + mantissa.replace(".", "")
+
+
 # --- evaluation --------------------------------------------------------------
 
 def eval_condition(expr: ConditionExpr, history: HistoryView, now: float) -> bool:
     """Evaluate a validated condition; total, pure in (expr, history, now)."""
-    result = _eval(expr, history, now)
-    assert isinstance(result, bool)
-    return result
-
-
-def _eval(expr: ConditionExpr, history: HistoryView, now: float) -> float | bool:
-    if isinstance(expr, Number):
-        return expr.value
-    if isinstance(expr, Atom):
-        if expr.func == "runCount":
-            return float(history.run_count())
-        if expr.func == "executions":
-            return float(history.executions(expr.op, expr.exit))
-        if expr.func == "runsSince":
-            return history.runs_since(expr.op, expr.exit)
-        if expr.func == "secondsSince":
-            return history.seconds_since(expr.op, expr.exit, now)
-        raise ValueError(f"unknown atom {expr.func}")
-    if isinstance(expr, Compare):
-        left = _eval(expr.left, history, now)
-        right = _eval(expr.right, history, now)
-        return {
-            "<": left < right, "<=": left <= right,
-            "==": left == right, "!=": left != right,
-            ">=": left >= right, ">": left > right,
-        }[expr.op]
-    if isinstance(expr, BoolOp):
-        if expr.op == "and":
-            return all(_eval(item, history, now) for item in expr.items)
-        return any(_eval(item, history, now) for item in expr.items)
-    if isinstance(expr, Not):
-        return not _eval(expr.item, history, now)
-    raise TypeError(f"not a condition expression: {expr!r}")
+    return compile_condition(expr)(history, now)
 
 
 def compile_condition(expr: ConditionExpr):
-    """Compile to a `(history, now) -> bool` closure; equals eval_condition."""
+    """Compile to a `(history, now) -> bool` closure, the one evaluator."""
     if isinstance(expr, Number):
         value = expr.value
         return lambda h, now: value

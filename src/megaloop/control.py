@@ -8,7 +8,7 @@ more lines terminated by a blank line.  Commands:
     rebind <module.op> <target>
     list                     print the live layer diagram
     inject <component> <kind>
-    step <seconds>           advance a paced virtual-clock engine
+    step <seconds>           advance a paced virtual-clock engine (finite, >= 0)
     stop                     shut the engine down
 
 The listener only enqueues commands onto the engine inbox and waits for
@@ -18,6 +18,7 @@ from ENGINE_CONTROL_ADDR: `stdin`, `unix:<path>`, or `tcp:<host>:<port>`.
 
 from __future__ import annotations
 
+import math
 import os
 import socket
 import sys
@@ -46,14 +47,20 @@ def handle_request(engine: Engine, line: str, timeout: float = 30.0) -> str:
             engine.submit(engine.inject_failure, args[0], args[1]).wait(timeout)
             return f"ok injected {args[0]} {args[1]}"
         if verb == "step" and len(args) == 1:
-            return "ok " + engine.submit(engine.step, float(args[0])).wait(timeout)
+            seconds = float(args[0])
+            if not (math.isfinite(seconds) and seconds >= 0):
+                raise ValueError(f"step needs a finite, non-negative time, got {args[0]!r}")
+            return "ok " + engine.submit(engine.step, seconds).wait(timeout)
         if verb == "rebind" and len(args) == 2 and "." in args[0]:
             module, op = args[0].split(".", 1)
             engine.submit(rebind_now, engine, module, op, args[1]).wait(timeout)
             return f"ok rebound {args[0]} -> {args[1]}"
         if verb == "snapshot" and len(args) == 1:
             snapshot = engine.submit(export_snapshot, engine).wait(timeout)
-            Path(args[0]).write_text(snapshot.to_json(), encoding="utf-8")
+            try:
+                Path(args[0]).write_text(snapshot.to_json(), encoding="utf-8")
+            except OSError as exc:
+                return f"error E-CTL cannot write snapshot file: {exc}"
             return f"ok snapshot {args[0]}"
         if verb == "patch" and len(args) == 1:
             try:
@@ -71,6 +78,8 @@ def handle_request(engine: Engine, line: str, timeout: float = 30.0) -> str:
         return f"error E-CTL unknown or malformed command {line.strip()!r}"
     except EngineError as err:
         return f"error {err.code} {err}"
+    except TimeoutError as err:
+        return f"error E-CTL {err}"
     except ValueError as err:
         return f"error E-CTL bad argument: {err}"
 
@@ -124,13 +133,15 @@ class ControlServer:
                 connection, _ = self._sock.accept()
             except OSError:
                 return
-            with connection:
-                rfile = connection.makefile("r", encoding="utf-8")
-                wfile = connection.makefile("w", encoding="utf-8")
-                try:
+            # closing the file objects too is what ends the connection for the client;
+            # undecodable bytes become U+FFFD, so such a line is a malformed command
+            try:
+                with connection, \
+                        connection.makefile("r", encoding="utf-8", errors="replace") as rfile, \
+                        connection.makefile("w", encoding="utf-8") as wfile:
                     _serve_stream(self.engine, rfile, wfile)
-                except (OSError, ValueError):
-                    pass
+            except (OSError, ValueError):
+                pass
 
     def close(self) -> None:
         if self._sock is not None:
@@ -172,4 +183,7 @@ class ControlClient:
         return "\n".join(lines)
 
     def close(self) -> None:
+        # the socket stays connected until its file objects are closed too
+        self._rfile.close()
+        self._wfile.close()
         self._sock.close()

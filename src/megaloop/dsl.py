@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Generic, NamedTuple, TypeVar
+from typing import Callable, Generic, NamedTuple, TypeVar
 
 from . import conditions
 from .diagnostics import Diagnostic, SourceSpan, error, has_errors
@@ -34,6 +34,8 @@ from .model import (ArchitectureDecl, ControlState, DecisionBranch, DecisionNode
 from .triggers import parse_trigger
 
 T = TypeVar("T")
+
+MAX_LITERAL_NESTING = 64  # '{' and '[' open at once in a literal document
 
 _USAGE_KEYWORDS = {
     "creates": "create", "destroys": "destroy", "writes": "write",
@@ -211,12 +213,17 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def number(self, what: str) -> Token:
+    def number(self, what: str, convert: Callable[[str], float] = float) -> float:
+        """Take a number token as `convert` reads it; a literal it refuses is E-SYNTAX."""
         tok = self.tokens[self.pos]
         if tok.kind != "number":
             raise self.fail(f"expected {what}, found {tok.value or 'end of file'!r}")
+        try:
+            value = convert(tok.value)
+        except ValueError:
+            raise self.fail(f"bad {what} {tok.value!r}") from None
         self.pos += 1
-        return tok
+        return value
 
     def display(self) -> str | None:
         if self.accept("as"):
@@ -403,7 +410,7 @@ def _parse_architecture(p: _Parser) -> ArchitectureDecl:
         if tok.kind == "eof":
             raise p.fail("unexpected end of file inside architecture block")
         if p.accept("layer"):
-            index = int(p.number("layer index").value)
+            index = p.number("layer index", int)
             layer = Layer(index, p.string("layer name").value)
             p.expect("{")
             while not p.at("}"):
@@ -494,9 +501,13 @@ def serialize_ld(arch: ArchitectureDecl) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_literal(p: _Parser):
-    """Literal document: { key = value, ... }, [ ... ], strings, numbers, bools."""
+def parse_literal(p: _Parser, depth: int = 0):
+    """Literal document: { key = value, ... }, [ ... ], strings, numbers, bools.
+
+    At most MAX_LITERAL_NESTING '{' and '[' may be open at once."""
     tok = p.peek()
+    if depth == MAX_LITERAL_NESTING and (p.at("{") or p.at("[")):
+        raise p.fail(f"literal nested deeper than {MAX_LITERAL_NESTING} levels")
     if p.accept("{"):
         body = {}
         while not p.at("}"):
@@ -505,22 +516,21 @@ def parse_literal(p: _Parser):
                 raise p.fail("expected a key")
             if not p.accept("="):
                 raise p.fail("expected '=' after key")
-            body[key.value] = parse_literal(p)
+            body[key.value] = parse_literal(p, depth + 1)
             p.accept(",")
         p.expect("}")
         return body
     if p.accept("["):
         items = []
         while not p.at("]"):
-            items.append(parse_literal(p))
+            items.append(parse_literal(p, depth + 1))
             p.accept(",")
         p.expect("]")
         return items
     if tok.kind == "string":
         return p.take().value
     if tok.kind == "number":
-        raw = p.take().value
-        return float(raw) if "." in raw else int(raw)
+        return p.number("number", float if "." in tok.value else int)
     if tok.value in ("true", "false"):
         return p.take().value == "true"
     raise p.fail(f"expected a literal value, found {tok.value!r}")

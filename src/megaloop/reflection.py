@@ -97,12 +97,12 @@ def _parse_patch(p: dsl._Parser) -> Patch:
         elif p.accept("unload-megamodel"):
             patch.steps.append(PatchStep("unloadMegamodel", (p.string("megamodel name").value,)))
         elif p.accept("add-layer"):
-            index = int(p.number("layer index").value)
+            index = p.number("layer index", int)
             patch.steps.append(PatchStep("addLayer", (index, p.string("layer name").value)))
         elif p.accept("remove-layer"):
-            patch.steps.append(PatchStep("removeLayer", (int(p.number("layer index").value),)))
+            patch.steps.append(PatchStep("removeLayer", (p.number("layer index", int),)))
         elif p.accept("add-module"):
-            layer = int(p.number("layer index").value)
+            layer = p.number("layer index", int)
             name = p.ident("instance name").value
             source = p.string("megamodel name").value
             patch.steps.append(PatchStep("addModule", (layer, name, source)))
@@ -471,7 +471,7 @@ class Snapshot:
                 histories=payload["histories"],
                 event_types=payload["eventTypes"],
             )
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
             raise EngineError("E-SNAP-PARSE", f"corrupt snapshot: {exc!r}") from exc
 
 

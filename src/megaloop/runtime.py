@@ -240,13 +240,6 @@ class Engine:
         self._seq += 1
         return self._seq
 
-    def load_megamodel(self, megamodel: Megamodel) -> None:
-        diags = check_megamodel(megamodel)
-        if has_errors(diags):
-            raise EngineError("E-PATCH-INVALID",
-                              f"megamodel {megamodel.name!r} is not well-formed", diags)
-        self.registry[megamodel.name] = megamodel
-
     def load_architecture(self, arch: ArchitectureDecl) -> None:
         """Validate and instantiate an architecture into an empty engine."""
         diags = check_architecture(arch, self.registry, self.event_types, self.default_ops)
@@ -381,9 +374,6 @@ class Engine:
         return self.store[bound]
 
     # --- events and interception -----------------------------------------------------
-
-    def declare_event_type(self, name: str, parent: str | None = None) -> None:
-        self.event_types.declare(name, parent)
 
     def emit(self, type_name: str, source: str, payload: dict | None = None) -> Event:
         """Emit a typed event; matching triggers enqueue (never preempt) runs."""

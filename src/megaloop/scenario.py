@@ -73,7 +73,7 @@ def _parse_script(p: dsl._Parser) -> Script:
 
 
 def _duration(p: dsl._Parser) -> float:
-    value = float(p.number("time").value)
+    value = p.number("time")
     unit = p.ident("time unit").value
     if unit == "s":
         return value
@@ -89,7 +89,7 @@ def _command(p: dsl._Parser, when: float) -> ScriptCommand:
         failure = p.ident("failure kind").value
         return ScriptCommand(when, "inject", (component, failure))
     if kind == "load":
-        return ScriptCommand(when, "load", (float(p.number("load").value),))
+        return ScriptCommand(when, "load", (p.number("load"),))
     if kind == "emit":
         type_name = p.ident("event type").value
         source = None

@@ -13,7 +13,8 @@ from megaloop import load_fld_dir
 from megaloop.history import ABORT_STATE
 from megaloop.model import (ControlState, DecisionBranch, DecisionNode, Endpoint,
                             FlowEdge, Megamodel, ModelSlot, ModelUsage, Operation)
-from megaloop.conditions import parse_condition
+from megaloop.conditions import (Atom, BoolOp, Compare, Not, Number,
+                                 parse_condition)
 
 settings.register_profile("ci", derandomize=True, max_examples=100)
 settings.load_profile("ci")
@@ -82,6 +83,41 @@ class BruteForceView:
                 counts = out.setdefault(ex.op, {})
                 counts[ex.exit] = counts.get(ex.exit, 0) + 1
         return out
+
+
+def tree_eval(expr, history, now):
+    """The tree-walking evaluator that `compile_condition` replaced.
+
+    Kept as an oracle for the compiled closures: it walks the AST on every
+    call and shares no code with the compiler.
+    """
+    if isinstance(expr, Number):
+        return expr.value
+    if isinstance(expr, Atom):
+        if expr.func == "runCount":
+            return float(history.run_count())
+        if expr.func == "executions":
+            return float(history.executions(expr.op, expr.exit))
+        if expr.func == "runsSince":
+            return history.runs_since(expr.op, expr.exit)
+        if expr.func == "secondsSince":
+            return history.seconds_since(expr.op, expr.exit, now)
+        raise ValueError(f"unknown atom {expr.func}")
+    if isinstance(expr, Compare):
+        left = tree_eval(expr.left, history, now)
+        right = tree_eval(expr.right, history, now)
+        return {
+            "<": left < right, "<=": left <= right,
+            "==": left == right, "!=": left != right,
+            ">=": left >= right, ">": left > right,
+        }[expr.op]
+    if isinstance(expr, BoolOp):
+        if expr.op == "and":
+            return all(tree_eval(item, history, now) for item in expr.items)
+        return any(tree_eval(item, history, now) for item in expr.items)
+    if isinstance(expr, Not):
+        return not tree_eval(expr.item, history, now)
+    raise TypeError(f"not a condition expression: {expr!r}")
 
 
 # --- random valid megamodel generator ------------------------------------------------

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from megaloop.bench import (BenchConfig, OP_ORDER, feasible, run_benchmark, run_combo,
-                            baseline_loop)
+from megaloop.bench import BenchConfig, OP_ORDER, feasible, run_benchmark, run_combo
 
 
 class TestFeasibility:
@@ -40,7 +39,7 @@ class TestModes:
             assert abs(result.runs - int(900 / 60)) <= 1
 
     def test_baseline_cheaper_than_interpreter(self):
-        base = baseline_loop(0, 60, 0.5)
+        base = run_combo(0, 60, "baseline", 0.5)
         interp = run_combo(0, 60, "interpreter", 0.5)
         assert base.median_run_ms < interp.median_run_ms
 

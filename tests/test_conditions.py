@@ -7,12 +7,14 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from megaloop.conditions import (Atom, Compare, Number, condition_to_text,
+from megaloop import dsl
+from megaloop.conditions import (COMPARE_OPS, MAX_NESTING, Atom, BoolOp, Compare, Not,
+                                 Number, compile_condition, condition_to_text,
                                  eval_condition, parse_condition)
 from megaloop.diagnostics import Diagnostic
 from megaloop.history import ExecutionHistory
 
-from conftest import BruteForceView
+from conftest import BruteForceView, tree_eval
 
 
 def make_history(runs, *, abort_last=False) -> ExecutionHistory:
@@ -30,6 +32,46 @@ def make_history(runs, *, abort_last=False) -> ExecutionHistory:
             hist.end_run(t, final, seq=2 * i + 2)
         t += 1.0
     return hist
+
+
+# Malformed conditions and the (code, message, column) each must give.  A bad
+# number literal is reported at the literal itself; every other error at the
+# token where parsing stopped.
+MALFORMED = [
+    ('', 'E-SYNTAX', "expected a value, found 'end of input'", 1),
+    ('   ', 'E-SYNTAX', "expected a value, found 'end of input'", 4),
+    ('executions(Update) >', 'E-SYNTAX', "expected a value, found 'end of input'", 21),
+    ('executions(Update)', 'E-SYNTAX', 'condition must be a boolean expression', 19),
+    ('(runCount() > 1) > 2', 'E-SYNTAX', 'comparison operands must be numeric', 21),
+    ('frobnicate(Update) > 1', 'E-SYNTAX', "unknown atom 'frobnicate'", 1),
+    ('runsSince(Update) > 1', 'E-SYNTAX', "runsSince() requires an 'op -> exit' argument", 17),
+    ('runCount() > 1 $', 'E-SYNTAX', "unexpected character '$' in condition", 16),
+    ('1.2.3 > runCount()', 'E-SYNTAX', "bad number literal '1.2.3'", 1),
+    ('runCount() > 1..5', 'E-SYNTAX', "bad number literal '1..5'", 14),
+    ('runCount( > 1', 'E-SYNTAX', "expected ')', found '>'", 11),
+    ('runCount() > 1)', 'E-SYNTAX', "unexpected trailing input ')'", 15),
+    ('executions() > 1', 'E-SYNTAX', 'executions() needs an operation name', 12),
+    ('executions(A -> ) > 1', 'E-SYNTAX', "executions() needs an exit name after '->'", 17),
+    ('executions(A -> b c) > 1', 'E-SYNTAX', "expected ')', found 'c'", 19),
+    ('not runCount()', 'E-SYNTAX', "'not' applies to a boolean expression", 15),
+    ('not not executions(A)', 'E-SYNTAX', "'not' applies to a boolean expression", 22),
+    ('runCount() > 1 and', 'E-SYNTAX', "expected a value, found 'end of input'", 19),
+    ('runCount() > 1 or or runCount() < 2', 'E-SYNTAX', "unknown atom 'or'", 19),
+    ('(runCount() > 1', 'E-SYNTAX', "expected ')', found 'end of input'", 16),
+    ('runCount > 1', 'E-SYNTAX', "expected '(', found '>'", 10),
+    ('> 1', 'E-SYNTAX', "expected a value, found '>'", 1),
+    ('runCount() > 1 runCount() > 2', 'E-SYNTAX', "unexpected trailing input 'runCount'", 16),
+    ('executions(A) < < 2', 'E-SYNTAX', "expected a value, found '<'", 17),
+    ('runCount() == ->', 'E-SYNTAX', "expected a value, found '->'", 15),
+    ('executions(A -> ok) > 1 and not 3', 'E-SYNTAX', "'not' applies to a boolean expression", 34),
+    ('runCount() = 1', 'E-SYNTAX', "unexpected character '=' in condition", 12),
+    ('secondsSince(A -> -> b) > 1', 'E-SYNTAX', "secondsSince() needs an exit name after '->'", 19),
+    ('1 < 2 < 3', 'E-SYNTAX', "unexpected trailing input '<'", 7),
+    ('executions(A) >= 1e5', 'E-SYNTAX', "unexpected trailing input 'e5'", 19),
+    ('runsSince(A -> ok > 1', 'E-SYNTAX', "expected ')', found '>'", 19),
+    ('executions(A -> ok) > 1 and runsSince(B) == 0', 'E-SYNTAX', "runsSince() requires an 'op -> exit' argument", 40),
+    ('runCount() > ²', 'E-SYNTAX', "bad number literal '²'", 14),
+]
 
 
 class TestParsing:
@@ -71,6 +113,56 @@ class TestParsing:
         expr = parse_condition(text)
         assert not isinstance(expr, Diagnostic)
         assert parse_condition(condition_to_text(expr)) == expr
+
+    @pytest.mark.parametrize("text", [
+        "runsSince(CheckForFailures -> no_failures) > 5",
+        "executions(Update) == 0",
+        "secondsSince(Effect -> done) <= 2.5 and runCount() != 7",
+        "runCount() > 1234567 or secondsSince(A) > 0.1234567",
+        "secondsSince(A) >= 0.00001",
+    ])
+    def test_canonical_text_renders_unchanged(self, text):
+        assert condition_to_text(parse_condition(text)) == text
+
+    @pytest.mark.parametrize("text,code,message,column", MALFORMED)
+    def test_malformed_corpus(self, text, code, message, column):
+        result = parse_condition(text)
+        assert isinstance(result, Diagnostic)
+        assert (result.code, result.message, result.span.column) == (code, message, column)
+
+
+class TestNestingCap:
+    def test_nesting_up_to_the_cap_parses(self):
+        parens = "(" * MAX_NESTING + "runCount() > 1" + ")" * MAX_NESTING
+        nots = "not " * MAX_NESTING + "runCount() > 1"
+        mixed = "not (" * (MAX_NESTING // 2) + "runCount() > 1" + ")" * (MAX_NESTING // 2)
+        for text in (parens, nots, mixed):
+            expr = parse_condition(text)
+            assert not isinstance(expr, Diagnostic)
+            assert eval_condition(expr, ExecutionHistory(), now=0.0) == tree_eval(
+                expr, ExecutionHistory(), 0.0)
+
+    @pytest.mark.parametrize("text,column", [
+        ("(" * (MAX_NESTING + 1) + "runCount() > 1" + ")" * (MAX_NESTING + 1),
+         MAX_NESTING + 1),
+        ("not " * (MAX_NESTING + 1) + "runCount() > 1", 4 * MAX_NESTING + 1),
+        ("(" * 5000, MAX_NESTING + 1),
+        ("not " * 5000 + "runCount() > 1", 4 * MAX_NESTING + 1),
+        ("not (" * 3000 + "runCount() > 1" + ")" * 3000, 5 * (MAX_NESTING // 2) + 1),
+    ])
+    def test_nesting_past_the_cap_is_a_syntax_error(self, text, column):
+        result = parse_condition(text)
+        assert isinstance(result, Diagnostic)
+        assert (result.code, result.span.column) == ("E-SYNTAX", column)
+        assert result.message == f"condition nested deeper than {MAX_NESTING} levels"
+
+    def test_deep_condition_in_fld_is_a_diagnostic(self):
+        text = ('megamodel "X" {\n  initial S\n  final F\n'
+                '  decision D {\n    when "' + "(" * 200 + 'runCount() > 1' + ")" * 200
+                + '" -> F\n    else -> F\n  }\n  flow S -> D\n}\n')
+        result = dsl.parse_fld(text, "x.fld")
+        assert not result.ok
+        assert [(d.code, d.span.line) for d in result.diagnostics] == [("E-SYNTAX", 5)]
 
 
 class TestSemantics:
@@ -168,9 +260,50 @@ def test_eval_is_pure():
            "runCount() != 4",
        ]))
 def test_compiled_conditions_equal_tree_eval(runs, text):
-    from megaloop.conditions import compile_condition
     expr = parse_condition(text)
     compiled = compile_condition(expr)
     hist = make_history(runs)
     for now in (0.0, 5.0, 1e6):
-        assert compiled(hist, now) == eval_condition(expr, hist, now)
+        assert compiled(hist, now) is tree_eval(expr, hist, now)
+        assert eval_condition(expr, hist, now) is tree_eval(expr, hist, now)
+
+
+_numeric = st.one_of(
+    st.integers(0, 12).map(lambda n: Number(float(n))),
+    st.just(Atom("runCount")),
+    st.builds(lambda op, exit: Atom("executions", op, exit), _ops, st.none() | _exits),
+    st.builds(lambda op, exit: Atom("runsSince", op, exit), _ops, _exits),
+    st.builds(lambda op, exit: Atom("secondsSince", op, exit), _ops, st.none() | _exits),
+)
+_conditions = st.recursive(
+    st.builds(Compare, st.sampled_from(COMPARE_OPS), _numeric, _numeric),
+    lambda inner: st.one_of(
+        st.builds(Not, inner),
+        st.builds(BoolOp, st.sampled_from(["and", "or"]),
+                  st.lists(inner, min_size=2, max_size=3).map(tuple))),
+    max_leaves=8)
+
+
+@given(st.lists(_run, min_size=0, max_size=8), _conditions)
+def test_random_conditions_compiled_equal_tree_eval(runs, expr):
+    compiled = compile_condition(expr)
+    hist = make_history(runs)
+    for now in (0.0, 5.0, 1e6):
+        assert compiled(hist, now) is tree_eval(expr, hist, now)
+    assert parse_condition(condition_to_text(expr)) == expr
+
+
+_literals = st.one_of(
+    st.integers(0, 10**400).map(str),
+    st.decimals(min_value=0, max_value=10**12, places=9).map(lambda d: format(d, "f")),
+    st.floats(min_value=0, allow_nan=False, allow_infinity=False).map(
+        lambda x: format(x, ".400f")),
+)
+
+
+@given(_literals)
+def test_number_literals_survive_render_and_reparse(literal):
+    expr = parse_condition(f"secondsSince(A) > {literal}")
+    assert not isinstance(expr, Diagnostic)
+    assert expr.right.value == float(literal)
+    assert parse_condition(condition_to_text(expr)) == expr

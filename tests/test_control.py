@@ -14,15 +14,28 @@ from megaloop.reflection import export_snapshot
 from conftest import FLD_DIR, LD_DIR
 
 
-@pytest.fixture
-def served(tmp_path):
+def connect(addr: str) -> ControlClient:
+    """A client whose reads fail after 60 s instead of hanging the suite."""
+    client = ControlClient(addr)
+    client._sock.settimeout(60)
+    return client
+
+
+def start_served(tmp_path):
+    """A paced virtual-clock engine looping in a thread, behind a socket server."""
     engine, _ = build_engine(LD_DIR / "self-repair-variants.ld", FLD_DIR,
                              clock=VirtualClock())
     server = ControlServer(engine, f"unix:{tmp_path}/ctl.sock")
     addr = server.start()
     thread = threading.Thread(target=lambda: engine.run(paced=True), daemon=True)
     thread.start()
-    client = ControlClient(addr)
+    return engine, server, addr, thread
+
+
+@pytest.fixture
+def served(tmp_path):
+    engine, server, addr, thread = start_served(tmp_path)
+    client = connect(addr)
     yield engine, client
     client.request("stop")
     thread.join(5)
@@ -86,3 +99,53 @@ def test_handle_request_without_server():
     assert handle_request(engine, "").startswith("error E-CTL")
     assert handle_request(engine, "stop") == "ok stopping"
     thread.join(5)
+
+
+class TestRobustness:
+    def test_step_rejects_a_non_finite_or_negative_time(self, served):
+        engine, client = served
+        assert client.request("step 1") == "ok stepped to 1s"
+        for arg in ("nan", "inf", "-inf", "-1", "-0.5"):
+            response = client.request(f"step {arg}")
+            assert response.startswith("error E-CTL bad argument"), response
+        assert client.request("step 0.5") == "ok stepped to 1.5s"
+        assert engine.clock.now() == 1.5
+
+    def test_timed_out_wait_is_an_error_reply(self):
+        # no engine loop drains the inbox, so the command never completes
+        engine, _ = build_engine(LD_DIR / "self-repair.ld", FLD_DIR, clock=VirtualClock())
+        response = handle_request(engine, "list", timeout=0.05)
+        assert response.startswith("error E-CTL ") and "timed out" in response
+
+    def test_deep_patch_leaves_the_server_serving(self, tmp_path):
+        engine, server, addr, thread = start_served(tmp_path)
+        deep = tmp_path / "deep.patch"
+        deep.write_text('patch "Deep" {\n  seed-model selfRepair.RepairStrategies '
+                        + "[" * 3000 + "\n}\n", encoding="utf-8")
+        first = connect(addr)
+        try:
+            assert first.request(f"patch {deep}").startswith("error E-SYNTAX literal nested")
+        finally:
+            first.close()
+        second = connect(addr)
+        try:
+            assert second.request("list").strip() == dsl.serialize_ld(engine.arch).strip()
+            assert second.request("stop") == "ok stopping"
+        finally:
+            second.close()
+            server.close()
+        thread.join(5)
+        assert not thread.is_alive()
+
+    def test_unwritable_snapshot_path_is_an_error_reply(self, served, tmp_path):
+        engine, client = served
+        response = client.request(f"snapshot {tmp_path}/no/such/dir/snap.json")
+        assert response.startswith("error E-CTL cannot write snapshot file")
+        assert client.request("inject c3 crash") == "ok injected c3 crash"
+
+    def test_undecodable_request_is_a_malformed_command(self, served):
+        engine, client = served
+        client._sock.sendall(b"list \xff\xfe\n")
+        assert client._rfile.readline().startswith("error E-CTL unknown or malformed command")
+        assert client._rfile.readline() == "\n"
+        assert client.request("inject c3 crash") == "ok injected c3 crash"

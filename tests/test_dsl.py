@@ -8,6 +8,8 @@ import pytest
 
 from megaloop import dsl
 from megaloop.model import check_megamodel
+from megaloop.reflection import parse_patch
+from megaloop.scenario import parse_script
 
 from conftest import (FIXTURES, FLD_DIR, LD_DIR, char_loop_tokens,
                       random_megamodel)
@@ -223,3 +225,49 @@ class TestLexer:
         for element in [*mm.slots, *mm.states, *mm.operations, *mm.decisions]:
             span = element.span
             assert lines[span.line - 1][span.column - 1:span.end_column] == element.name
+
+
+class TestLiterals:
+    """Literal documents in patch `seed-model` and script `seed` lines."""
+
+    def seed_patch(self, literal: str) -> str:
+        return f'patch "P" {{\n  seed-model m.slot {literal}\n}}\n'
+
+    def test_nesting_up_to_the_cap_parses(self):
+        n = dsl.MAX_LITERAL_NESTING
+        literal = "[" * (n - 1) + '{ "k" = 1.5 }' + "]" * (n - 1)
+        value = parse_patch(self.seed_patch(literal)).unwrap().steps[0].args[2]
+        for _ in range(n - 1):
+            assert isinstance(value, list) and len(value) == 1
+            value = value[0]
+        assert value == {"k": 1.5}
+        assert parse_script(f"seed m.slot {literal}").ok
+
+    @pytest.mark.parametrize("level,closer,depth", [
+        ("[", "]", dsl.MAX_LITERAL_NESTING + 1),
+        ("[", "", 3000),
+        ('{ "a" = ', "", 3000),
+    ])
+    def test_nesting_past_the_cap_is_a_syntax_error(self, level, closer, depth):
+        literal = level * depth + closer * depth
+        message = f"literal nested deeper than {dsl.MAX_LITERAL_NESTING} levels"
+        # reported at the opening bracket of the first level past the cap
+        column = len("  seed-model m.slot ") + 1 + len(level) * dsl.MAX_LITERAL_NESTING
+        patch = parse_patch(self.seed_patch(literal), "p.patch")
+        assert [(d.code, d.message, str(d.span)) for d in patch.diagnostics] == \
+            [("E-SYNTAX", message, f"p.patch:2:{column}")]
+        script = parse_script(f"seed m.slot {literal}", "s.script")
+        assert [(d.code, d.message) for d in script.diagnostics] == [("E-SYNTAX", message)]
+
+    @pytest.mark.parametrize("parse,text,message,where", [
+        (parse_patch, 'patch "P" {\n  seed-model m.slot 2.3.4\n}', "bad number '2.3.4'", "2:21"),
+        (parse_patch, 'patch "P" { remove-layer 1.5 }', "bad layer index '1.5'", "1:26"),
+        (parse_script, "seed m.slot [1, 1..2]", "bad number '1..2'", "1:17"),
+        (parse_script, "at 1.2.3s inject c1 crash", "bad time '1.2.3'", "1:4"),
+        (parse_script, "at 1s load 0.9.1", "bad load '0.9.1'", "1:12"),
+        (dsl.parse_ld, 'architecture "A" { layer 1.5 "x" { } }', "bad layer index '1.5'", "1:26"),
+    ])
+    def test_malformed_number_is_a_syntax_error(self, parse, text, message, where):
+        result = parse(text, "f")
+        assert [(d.code, d.message, str(d.span)) for d in result.diagnostics] == \
+            [("E-SYNTAX", message, f"f:{where}")]

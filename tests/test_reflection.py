@@ -229,6 +229,16 @@ class TestReflectQueryAndEdit:
         # runsSince first exceeds 3 on the fourth failing run (index 4)
         assert deep_runs[0] == 4
 
+    def test_deeply_nested_condition_edit_is_rejected(self):
+        engine = fresh("layered-base.ld")
+        branch = engine.instances["selfRepair"].megamodel.decision("NeedDeepAnalysis").branches[0]
+        before = branch.condition
+        deep = "(" * 500 + "runCount() > 1" + ")" * 500
+        with pytest.raises(EngineError) as err:
+            engine.reflect_edit("selfRepair", ("setDecisionCondition", "NeedDeepAnalysis", 0, deep))
+        assert err.value.code == "E-EDIT-INVALID" and "nested deeper" in str(err.value)
+        assert branch.condition == before
+
     def test_edit_during_interception_applies_immediately(self):
         engine = fresh("layered-strategies.ld")
         engine.seed_model("selfRepair", "RepairStrategies", {"crash": "restart"})
@@ -335,6 +345,11 @@ class TestSnapshots:
         text = export_snapshot(engine).to_json()
         with pytest.raises(EngineError) as err:
             import_snapshot(text[: len(text) // 2])
+        assert err.value.code == "E-SNAP-PARSE"
+
+    def test_deeply_nested_snapshot(self):
+        with pytest.raises(EngineError) as err:
+            import_snapshot('{"engineTime": ' + "[" * 100000)
         assert err.value.code == "E-SNAP-PARSE"
 
     def test_replay_equivalence_after_import(self):
