@@ -13,15 +13,21 @@ timing information about its past runs.  Atoms:
   runCount()                number of runs including the current one
 
 Atoms are numeric (extended reals), combined with comparisons and the
-boolean connectives and/or/not.  A condition as a whole must be boolean.
+boolean connectives and/or/not, whose operands must be boolean.  A
+condition as a whole must be boolean.
 
 Runs aborted by an engine error do not contribute matches: a failed run
 must not be counted as a success by any condition.
 
-`compile_condition` is the one evaluator: it turns a parsed condition into
-a closure over (history, now), and `eval_condition` compiles and calls.  The
-tree-walking evaluator it replaced is kept in `tests/conftest.py` as the
-oracle the compiled closures are checked against.
+`compile_condition` is the one evaluator.  `compile_condition(expr,
+history)` resolves every atom to that `ExecutionHistory`'s index cells and
+run list once and returns a `now -> bool` closure in which an atom is an
+attribute read and a subtraction, not a method call or a dictionary lookup.
+Without a history it returns the binder `history -> closure`, which is how
+the engine binds each branch condition when it builds an instance's
+routes; `eval_condition` compiles, binds and calls.  The tree-walking evaluator it
+replaced is kept in `tests/conftest.py` as the oracle the compiled closures
+are checked against.
 """
 
 from __future__ import annotations
@@ -71,15 +77,15 @@ ConditionExpr = Union[Number, Atom, Compare, BoolOp, Not]
 
 
 class HistoryView(Protocol):
-    """What a condition needs to know about an instance's execution history."""
+    """What a condition binds to: an instance's run records and index cells.
 
-    def executions(self, op: str, exit: str | None = None) -> int: ...
+    `ExecutionHistory` is the implementation; a cell has `count`, `last_run`
+    and `last_end`, and stays the same object for the history's lifetime.
+    """
 
-    def runs_since(self, op: str, exit: str) -> float: ...
+    runs: list
 
-    def seconds_since(self, op: str, exit: str | None, now: float) -> float: ...
-
-    def run_count(self) -> int: ...
+    def cell(self, op: str, exit: str | None = None): ...
 
 
 # --- parsing -----------------------------------------------------------------
@@ -173,18 +179,26 @@ class _CondParser:
         return expr
 
     def or_expr(self) -> ConditionExpr:
-        items = [self.and_expr()]
-        while self.peek()[1] == "or":
-            self.take()
-            items.append(self.and_expr())
-        return items[0] if len(items) == 1 else BoolOp("or", tuple(items))
+        return self.chain("or", self.and_expr)
 
     def and_expr(self) -> ConditionExpr:
-        items = [self.not_expr()]
-        while self.peek()[1] == "and":
+        return self.chain("and", self.not_expr)
+
+    def chain(self, op: str, operand) -> ConditionExpr:
+        """`operand (op operand)*`; every operand of a connective must be boolean."""
+        items = [operand()]
+        while self.peek()[1] == op:
+            self.boolean_operand(items[-1], op)
             self.take()
-            items.append(self.not_expr())
-        return items[0] if len(items) == 1 else BoolOp("and", tuple(items))
+            items.append(operand())
+        if len(items) == 1:
+            return items[0]
+        self.boolean_operand(items[-1], op)
+        return BoolOp(op, tuple(items))
+
+    def boolean_operand(self, item: ConditionExpr, op: str) -> None:
+        if not _is_boolean(item):
+            raise self.fail(f"'{op}' applies to boolean expressions")
 
     def not_expr(self) -> ConditionExpr:
         if self.peek()[1] != "not":
@@ -275,7 +289,7 @@ def condition_to_text(expr: ConditionExpr) -> str:
 # precedence levels: or=1, and=2, not=3, cmp=4, value=5
 def _render(expr: ConditionExpr, parent_level: int) -> str:
     if isinstance(expr, Number):
-        return _number_text(expr.value)
+        return number_text(expr.value)
     if isinstance(expr, Atom):
         if expr.func == "runCount":
             return "runCount()"
@@ -293,9 +307,10 @@ def _render(expr: ConditionExpr, parent_level: int) -> str:
     raise TypeError(f"not a condition expression: {expr!r}")
 
 
-def _number_text(value: float) -> str:
+def number_text(value: float) -> str:
     """A literal the lexer reads back as `value`: whole values as integers,
-    others in positional notation (the lexer has no exponents)."""
+    others in positional notation (the lexer has no exponents).  The
+    control channel's `step` reply renders times the same way."""
     if value.is_integer():
         return str(int(value))
     if value == math.inf:
@@ -311,46 +326,53 @@ def _number_text(value: float) -> str:
 
 def eval_condition(expr: ConditionExpr, history: HistoryView, now: float) -> bool:
     """Evaluate a validated condition; total, pure in (expr, history, now)."""
-    return compile_condition(expr)(history, now)
+    return compile_condition(expr, history)(now)
 
 
-def compile_condition(expr: ConditionExpr):
-    """Compile to a `(history, now) -> bool` closure, the one evaluator."""
+def compile_condition(expr: ConditionExpr, history: HistoryView | None = None):
+    """The condition as a `now -> bool` closure over `history`'s cells, or
+    without a history the binder `history -> closure`."""
+    if history is None:
+        return lambda history: _bind(expr, history)
+    return _bind(expr, history)
+
+
+def _bind(expr: ConditionExpr, history: HistoryView):
     if isinstance(expr, Number):
         value = expr.value
-        return lambda h, now: value
+        return lambda now: value
     if isinstance(expr, Atom):
-        op, exit = expr.op, expr.exit
+        runs = history.runs
         if expr.func == "runCount":
-            return lambda h, now: float(h.run_count())
+            return lambda now: len(runs)
+        cell = history.cell(expr.op, expr.exit)
         if expr.func == "executions":
-            return lambda h, now: float(h.executions(op, exit))
+            return lambda now: cell.count
         if expr.func == "runsSince":
-            return lambda h, now: h.runs_since(op, exit)
+            return lambda now: len(runs) - 1 - cell.last_run
         if expr.func == "secondsSince":
-            return lambda h, now: h.seconds_since(op, exit, now)
+            return lambda now: now - cell.last_end
         raise ValueError(f"unknown atom {expr.func}")
     if isinstance(expr, Compare):
-        left, right = compile_condition(expr.left), compile_condition(expr.right)
+        left, right = _bind(expr.left, history), _bind(expr.right, history)
         cmp = expr.op
         if cmp == "<":
-            return lambda h, now: left(h, now) < right(h, now)
+            return lambda now: left(now) < right(now)
         if cmp == "<=":
-            return lambda h, now: left(h, now) <= right(h, now)
+            return lambda now: left(now) <= right(now)
         if cmp == "==":
-            return lambda h, now: left(h, now) == right(h, now)
+            return lambda now: left(now) == right(now)
         if cmp == "!=":
-            return lambda h, now: left(h, now) != right(h, now)
+            return lambda now: left(now) != right(now)
         if cmp == ">=":
-            return lambda h, now: left(h, now) >= right(h, now)
-        return lambda h, now: left(h, now) > right(h, now)
+            return lambda now: left(now) >= right(now)
+        return lambda now: left(now) > right(now)
     if isinstance(expr, BoolOp):
-        items = [compile_condition(item) for item in expr.items]
+        items = [_bind(item, history) for item in expr.items]
         if expr.op == "and":
-            return lambda h, now: all(item(h, now) for item in items)
-        return lambda h, now: any(item(h, now) for item in items)
+            return lambda now: all(item(now) for item in items)
+        return lambda now: any(item(now) for item in items)
     if isinstance(expr, Not):
-        inner = compile_condition(expr.item)
-        return lambda h, now: not inner(h, now)
+        inner = _bind(expr.item, history)
+        return lambda now: not inner(now)
     raise TypeError(f"not a condition expression: {expr!r}")
-

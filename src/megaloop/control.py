@@ -12,8 +12,11 @@ more lines terminated by a blank line.  Commands:
     stop                     shut the engine down
 
 The listener only enqueues commands onto the engine inbox and waits for
-their completion; it never touches engine state itself.  The address comes
-from ENGINE_CONTROL_ADDR: `stdin`, `unix:<path>`, or `tcp:<host>:<port>`.
+their completion; it never touches engine state itself.  A request that
+fails in an unexpected way is answered `error E-CTL internal error: ...`
+with its traceback on standard error, and the listener goes on serving
+that client and the next.  The address comes from ENGINE_CONTROL_ADDR:
+`stdin`, `unix:<path>`, or `tcp:<host>:<port>`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import os
 import socket
 import sys
 import threading
+import traceback
 from pathlib import Path
 
 from .reflection import (apply_patch_now, describe_architecture, export_snapshot,
@@ -89,7 +93,11 @@ def _serve_stream(engine: Engine, rfile, wfile) -> None:
         line = raw.strip()
         if not line:
             continue
-        response = handle_request(engine, line)
+        try:
+            response = handle_request(engine, line)
+        except Exception as exc:  # a fault in one request must not silence the channel
+            traceback.print_exc(file=sys.stderr)
+            response = f"error E-CTL internal error: {exc!r}"
         wfile.write(response + "\n\n")
         wfile.flush()
         if line.split()[0] == "stop":

@@ -544,6 +544,15 @@ def import_snapshot(snapshot: Snapshot | str, *, software=None, default_ops=None
         raise EngineError("E-SNAP-PARSE", "snapshot architecture fails validation", diags)
     engine.arch = arch
 
+    if not isinstance(snapshot.histories, dict):
+        raise EngineError("E-SNAP-PARSE", "snapshot histories are not a mapping")
+    histories = {}
+    for name, runs in snapshot.histories.items():
+        try:
+            histories[name] = ExecutionHistory.from_json(runs)
+        except ValueError as exc:
+            raise EngineError("E-SNAP-PARSE", f"history of {name!r}: {exc}") from exc
+
     for mid, payload in snapshot.runtime_models.items():
         engine.store[mid] = RuntimeModel(mid, payload["name"], payload.get("kind"),
                                          copy.deepcopy(payload["body"]))
@@ -559,23 +568,18 @@ def import_snapshot(snapshot: Snapshot | str, *, software=None, default_ops=None
             raise EngineError("E-SNAP-PARSE",
                               f"live megamodel of {mod.instance_name!r} is invalid",
                               live.diagnostics)
-        inst = ModuleInstance(mod.instance_name, live.value)
+        # the routes bind the imported history's index cells
+        inst = ModuleInstance(mod.instance_name, live.value, histories.get(mod.instance_name))
         for slot, bound in entry["modelBindings"].items():
             if isinstance(bound, str) and bound.startswith("@instance:"):
                 inst.model_bindings[slot] = ("instance", bound[len("@instance:"):])
             else:
                 inst.model_bindings[slot] = bound
-        history = snapshot.histories.get(mod.instance_name)
-        if history:
-            inst.history = ExecutionHistory.from_json(history)
         engine.instances[mod.instance_name] = inst
     engine._wire_instances(arch.modules())
     engine._rebuild_routing()
-    max_seq = 0
-    for history in snapshot.histories.values():
-        for run in history:
-            max_seq = max(max_seq, run.get("endSeq", 0), run.get("startSeq", 0))
-    engine._seq = max_seq
+    engine._seq = max((max(run.start_seq, run.end_seq)
+                       for history in histories.values() for run in history.runs), default=0)
     return engine
 
 

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .clock import MonotonicClock
-from .conditions import compile_condition, parse_condition
+from .conditions import compile_condition, number_text, parse_condition
 from .diagnostics import Diagnostic, has_errors
-from .history import ExecutionHistory
+from .history import ExecutionHistory, RunRecord
 from .model import (ArchitectureDecl, Event, EventTypeRegistry, Megamodel,
                     ModuleDecl, Operation, check_architecture, check_megamodel,
                     signature_of)
@@ -66,7 +66,7 @@ class RunResult:
     instance: str
     final_state: str
     destructed: bool
-    trace: list[TraceEntry]
+    trace: list[TraceEntry]  # an empty tuple when nothing collects or sinks traces
     start: float
     end: float
     index: int
@@ -111,10 +111,11 @@ def route_complex(final_state: str, op: Operation) -> str:
     return final_state
 
 
-def _compile_branch(branch):
+def _bind_branch(branch, history: ExecutionHistory):
     if branch.condition is None:
         return None
-    return compile_condition(branch.condition)
+    # the binder form, so a profiler wrapping `compile_condition(expr)` still fits
+    return compile_condition(branch.condition)(history)
 
 
 class _DispatchPlan:
@@ -135,48 +136,69 @@ class _DispatchPlan:
 
 
 class ModuleInstance:
-    """A live megamodel module: its megamodel, bindings and history.
+    """A live megamodel module: its megamodel, bindings, history and routes.
 
     The megamodel is an instance copy (`Megamodel.instance_copy`): it shares
     the immutable slots, states, operations and flows with the registry's
     definition and owns its decisions, so a reflective condition edit on one
     instance is seen by no other.
+
+    Routes are built once, against the instance's own history, so a run
+    resolves no name on its way.  An operation node carries one map
+    `exit -> (next node, exit cell, any-exit cell)`, and a decision node its
+    branches, each with its condition bound to the history's index cells.
+    A condition edit rebinds its branch in place (`rebind_condition`), so a
+    run in flight takes it at its next decision.  An instance built over an
+    existing history (a snapshot import) must get it here, as routes hold
+    its cells.
     """
 
-    def __init__(self, name: str, megamodel: Megamodel):
+    def __init__(self, name: str, megamodel: Megamodel,
+                 history: ExecutionHistory | None = None):
         self.name = name
         self.megamodel = megamodel
         self.bindings: dict[str, tuple] = {}       # op -> ("call", fn) | ("instance", name)
         self.model_bindings: dict[str, object] = {}  # slot -> model id | ("instance", name)
-        self.history = ExecutionHistory()
+        self.history = ExecutionHistory() if history is None else history
         self.status = "idle"
         self.sensed: tuple[str, ...] = ()    # cached from the architecture's edges
         self.effected: tuple[str, ...] = ()
         self.wiring_version = 0              # bumped whenever bindings/models move
         self._plans: dict[str, _DispatchPlan] = {}
-        self._route: dict[tuple[str, str | None], tuple] = {}
-        self._decision_routes: dict[str, list] = {}
-        self.initial_states: frozenset[str] = frozenset()
+        self._starts: dict[str, tuple] = {}         # initial state -> first node
+        self._branches: dict[str, list] = {}        # decision -> [(branch, test, target)]
         self.rebuild_routes()
 
     def invalidate(self) -> None:
         self.wiring_version += 1
 
     def rebuild_routes(self) -> None:
-        mm = self.megamodel
-        self.initial_states = frozenset(s.name for s in mm.states if s.role == "initial")
-        self._route = {}
+        """Nodes: ("op", op, entry, exits), ("state", state), ("decision", dec, branches)."""
+        mm, history = self.megamodel, self.history
+        exits = {op.name: {} for op in mm.operations}
+        self._branches = {dec.name: [] for dec in mm.decisions}
+        initial = {s.name for s in mm.initial_states()}
+        self._starts = {}
         for flow in mm.flows:
-            self._route[(flow.source.node, flow.source.compartment)] = \
-                self._resolve_target(flow.target)
-        self._decision_routes = {
-            dec.name: [(branch, _compile_branch(branch), self._resolve_target(branch.target))
-                       for branch in dec.branches]
-            for dec in mm.decisions
-        }
-        self._plans = {}
+            src, target = flow.source, self._resolve_target(flow.target, exits)
+            if src.compartment is None:
+                if src.node in initial:
+                    self._starts[src.node] = target
+            elif src.node in exits:
+                exits[src.node][src.compartment] = (
+                    target, history.cell(src.node, src.compartment), history.cell(src.node))
+        for dec in mm.decisions:
+            self._branches[dec.name][:] = [
+                (branch, _bind_branch(branch, history), self._resolve_target(branch.target, exits))
+                for branch in dec.branches]
 
-    def _resolve_target(self, target) -> tuple:
+    def rebind_condition(self, decision: str, index: int) -> None:
+        """Bind branch `index` of `decision` again after its condition changed."""
+        branches = self._branches[decision]
+        branch, _, target = branches[index]
+        branches[index] = (branch, _bind_branch(branch, self.history), target)
+
+    def _resolve_target(self, target, exits: dict) -> tuple:
         mm = self.megamodel
         state = mm.state(target.node)
         if state is not None:
@@ -186,8 +208,9 @@ class ModuleInstance:
             entry = target.compartment
             if entry is None and len(op.entries) == 1:
                 entry = op.entries[0]
-            return ("op", op, entry)
-        return ("decision", mm.decision(target.node))
+            return ("op", op, entry, exits[op.name])
+        decision = mm.decision(target.node)
+        return ("decision", decision, self._branches[decision.name])
 
 
 class Engine:
@@ -196,7 +219,8 @@ class Engine:
                  event_types: EventTypeRegistry | None = None,
                  trace_sink: Callable[[str, TraceEntry], None] | None = None,
                  period_anchor: str = "end", collect_traces: bool = True):
-        assert period_anchor in ("end", "start")
+        if period_anchor not in ("end", "start"):
+            raise ValueError(f"period_anchor must be 'end' or 'start', not {period_anchor!r}")
         self.clock = clock or MonotonicClock()
         self.software = dict(software or {})
         self.default_ops = dict(default_ops or {})
@@ -215,7 +239,7 @@ class Engine:
         self.event_log: list[Event] = []
         self.structural_mutations: list[tuple[int, float, str, str]] = []
         self.model_edits: list[tuple[int, float, str, str]] = []
-        self.run_audit: list[dict] = []
+        self.run_audit: list[RunRecord] = []  # every closed run, nested ones included
         self.errors: list[EngineError] = []
 
         self._seq = 0
@@ -505,6 +529,13 @@ class Engine:
                     cause: str | None = None) -> RunResult:
         """Execute one run: walk the flow graph from an initial state to a final.
 
+        The walk follows the instance's prebuilt routes: one lookup of the
+        returned exit in the operation node's map gives the next node and
+        the two index cells the execution is counted in, and a decision
+        calls its branches' bound conditions.  The run's record is its
+        `run_audit` entry; trace entries are built only when something
+        collects or sinks them.
+
         The clock is read once at the run start and once as each operation
         returns.  An operation starts at the previous read (the run start or
         the previous operation's end), and decisions and the final state use
@@ -518,7 +549,8 @@ class Engine:
         """
         if inst.status == "running":
             raise EngineError("E-REENTRY", f"instance {inst.name!r} is already running")
-        if initial_state not in inst.initial_states:
+        node = inst._starts.get(initial_state)
+        if node is None:
             raise EngineError("E-NO-INSTANCE",
                               f"{initial_state!r} is not an initial state of {inst.name!r}")
         now_fn = self.clock.now
@@ -526,10 +558,11 @@ class Engine:
         sink = self.trace_sink
         tracing = self.collect_traces or sink is not None
         name = inst.name
-        trace: list[TraceEntry] = []
+        trace: list[TraceEntry] = [] if tracing else ()
         now = now_fn()
         self._seq += 1
         run = history.begin_run(now, initial_state, self._seq, cause)
+        index, op_log = run.index, run.op_log
         inst.status = "running"
         self._run_depth += 1
         try:
@@ -537,11 +570,10 @@ class Engine:
                 trace.append(TraceEntry("enterState", initial_state, None, now))
                 if sink:
                     sink(name, trace[0])
-            node = inst._route[(initial_state, None)]
             while True:
                 kind = node[0]
                 if kind == "op":
-                    op, entry = node[1], node[2]
+                    _, op, entry, exits = node
                     op_name = op.name
                     if self._intercept_watchers and self._emit_intercept("before", inst, op_name):
                         now = now_fn()
@@ -572,20 +604,27 @@ class Engine:
                                 "E-OP-IMPL",
                                 f"{name}.{op_name} raised {exc!r} "
                                 f"(trace: {_trace_text(trace)})") from exc
-                    if exit_name not in op.exits:
+                    try:
+                        node, cell, any_cell = exits[exit_name]
+                    except (KeyError, TypeError):  # not a declared exit, or not even hashable
                         raise EngineError(
                             "E-EXIT-UNKNOWN",
                             f"{name}.{op_name} returned undeclared exit "
-                            f"{exit_name!r} (trace: {_trace_text(trace)})")
+                            f"{exit_name!r} (trace: {_trace_text(trace)})") from None
                     started, now = now, now_fn()
-                    history.record_op(op_name, exit_name, started, now)
+                    op_log += (op_name, exit_name, started, now)
+                    cell.count += 1
+                    cell.last_run = index
+                    cell.last_end = now
+                    any_cell.count += 1
+                    any_cell.last_run = index
+                    any_cell.last_end = now
                     if tracing:
                         trace.append(TraceEntry("opEnd", op_name, exit_name, now))
                         if sink:
                             sink(name, trace[-1])
                     if self._intercept_watchers and self._emit_intercept("after", inst, op_name):
                         now = now_fn()
-                    node = inst._route[(op_name, exit_name)]
                 elif kind == "state":
                     final = node[1]
                     if tracing:
@@ -594,10 +633,9 @@ class Engine:
                             sink(name, trace[-1])
                     break
                 else:
-                    decision = node[1]
-                    for idx, (branch, test, target) in \
-                            enumerate(inst._decision_routes[decision.name]):
-                        if test is None or test(history, now):
+                    _, decision, branches = node
+                    for idx, (branch, test, target) in enumerate(branches):
+                        if test is None or test(now):
                             node = target
                             break
                     if tracing:
@@ -606,27 +644,23 @@ class Engine:
                         if sink:
                             sink(name, trace[-1])
         except BaseException:
-            aborted = history.abort_run(now_fn(), self.next_seq())
+            history.abort_run(now_fn(), self.next_seq())
             inst.status = "idle"
-            self._after_run(aborted, inst, aborted=True)
+            self._after_run(run, inst)
             raise
         self._seq += 1
-        finished = history.end_run(now, final.name, self._seq, destructed=final.destruction)
+        history.end_run(now, final.name, self._seq, destructed=final.destruction)
         inst.status = "idle"
-        self._after_run(finished, inst, aborted=False)
+        self._after_run(run, inst)
         if final.destruction:
             self._destroy_instance(inst)
-        return RunResult(name, final.name, final.destruction, trace, run.start, now, run.index)
+        return RunResult(name, final.name, final.destruction, trace, run.start, now, index)
 
-    def _after_run(self, run, inst: ModuleInstance, aborted: bool) -> None:
+    def _after_run(self, run: RunRecord, inst: ModuleInstance) -> None:
         self._run_depth -= 1
-        self.run_audit.append({
-            "instance": inst.name, "index": run.index,
-            "start": run.start, "end": run.end,
-            "start_seq": run.start_seq, "end_seq": run.end_seq,
-            "final": run.final_state, "aborted": aborted,
-            "depth": self._run_depth, "cause": run.cause,
-        })
+        run.instance = inst.name
+        run.depth = self._run_depth
+        self.run_audit.append(run)
 
     def _dispatch_complex(self, inst: ModuleInstance, op: Operation,
                           entry: str | None, target_name: str) -> str:
@@ -780,7 +814,7 @@ class Engine:
             if has_errors(diags):
                 raise EngineError("E-EDIT-INVALID", "condition fails validation", diags)
             decision.branches[branch_idx].condition = expr
-            inst.rebuild_routes()  # recompile the branch closures
+            inst.rebind_condition(decision_name, branch_idx)
             self.log_model_edit("setDecisionCondition",
                                 f"{instance}.{decision_name}[{branch_idx}]")
             return
@@ -928,7 +962,7 @@ class Engine:
         remaining = []
         for target, cmd in self._step_waiters:
             if now + _EPS >= target:
-                cmd.resolve(f"stepped to {target:g}s")
+                cmd.resolve(f"stepped to {number_text(target)}s")
             else:
                 remaining.append((target, cmd))
         self._step_waiters = remaining

@@ -9,10 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from megaloop import load_fld_dir
+from megaloop import bench, dsl, load_fld_dir
+from megaloop.clock import VirtualClock
 from megaloop.history import ABORT_STATE
 from megaloop.model import (ControlState, DecisionBranch, DecisionNode, Endpoint,
-                            FlowEdge, Megamodel, ModelSlot, ModelUsage, Operation)
+                            EventTypeRegistry, FlowEdge, Megamodel, ModelSlot, ModelUsage,
+                            Operation)
+from megaloop.runtime import Engine
 from megaloop.conditions import (Atom, BoolOp, Compare, Not, Number,
                                  parse_condition)
 
@@ -30,6 +33,28 @@ SCENARIO_DIR = FIXTURES / "scenarios"
 @pytest.fixture(scope="session")
 def registry():
     return load_fld_dir(FLD_DIR)
+
+
+def scripted_loop_engine(exits: dict, **engine_options) -> Engine:
+    """The benchmark's five-operation loop on a virtual clock, over scripted mocks.
+
+    Each mock returns `exits[op]` as it stands when the mock is called, and
+    raises it instead when it is an exception.
+    """
+    def mock(op):
+        def impl(ctx, models):
+            exit = exits[op]
+            if isinstance(exit, Exception):
+                raise exit
+            return exit
+        return impl
+
+    engine = Engine(clock=VirtualClock(), software={"bench-system": object()},
+                    default_ops={op: mock(op) for op in bench.OP_ORDER},
+                    event_types=EventTypeRegistry(), **engine_options)
+    engine.registry["Self-repair"] = dsl.parse_fld(bench.LOOP_FLD, "<loop>").unwrap()
+    engine.load_architecture(dsl.parse_ld(bench.LOOP_LD, "<loop>").unwrap())
+    return engine
 
 
 # --- independent recount oracle over raw run records --------------------------------

@@ -463,12 +463,13 @@ def test_criterion_9_overhead_benchmark():
             assert r2.mean_cpu_pct <= r1.mean_cpu_pct + 0.3, \
                 f"c{compute}: {p1}ms={r1.mean_cpu_pct:.3f}% -> {p2}ms={r2.mean_cpu_pct:.3f}%"
 
-    worst = max(result.overhead_pp(c, p)
-                for c in config.compute_ms_values for p in config.period_ms_values
-                if (c, p) not in expected_infeasible)
+    worst, worst_c, worst_p = max((result.overhead_pp(c, p), c, p)
+                                  for c in config.compute_ms_values
+                                  for p in config.period_ms_values
+                                  if (c, p) not in expected_infeasible)
     report(9, f"22 feasible combos in {sweep_wall:.0f}s: sequences identical, "
               f"idle interpreter at {idle.mean_cpu_pct:.3f}% CPU, worst overhead "
-              f"{worst:+.3f}pp, monotone within tolerance")
+              f"{worst:+.3f}pp at c{worst_c}p{worst_p}, monotone within tolerance")
 
 
 # --- criterion 10: the validation suite ------------------------------------------------------

@@ -12,21 +12,24 @@ from megaloop.conditions import (COMPARE_OPS, MAX_NESTING, Atom, BoolOp, Compare
                                  Number, compile_condition, condition_to_text,
                                  eval_condition, parse_condition)
 from megaloop.diagnostics import Diagnostic
-from megaloop.history import ExecutionHistory
+from megaloop.history import ABORT_STATE, ExecutionHistory
 
 from conftest import BruteForceView, tree_eval
 
 
-def make_history(runs, *, abort_last=False) -> ExecutionHistory:
-    """runs: list of (ops, final) where ops is a list of (op, exit)."""
-    hist = ExecutionHistory()
+def make_history(runs, *, abort_last=False, hist=None) -> ExecutionHistory:
+    """runs: list of (ops, final) where ops is a list of (op, exit).
+
+    A run whose final is ABORT_STATE is aborted, as is the last with abort_last.
+    """
+    hist = ExecutionHistory() if hist is None else hist
     t = 0.0
     for i, (ops, final) in enumerate(runs):
         hist.begin_run(t, "Start", seq=2 * i + 1)
         for op, exit in ops:
             hist.record_op(op, exit, t, t + 0.1)
             t += 0.1
-        if abort_last and i == len(runs) - 1:
+        if final == ABORT_STATE or (abort_last and i == len(runs) - 1):
             hist.abort_run(t, seq=2 * i + 2)
         else:
             hist.end_run(t, final, seq=2 * i + 2)
@@ -36,7 +39,8 @@ def make_history(runs, *, abort_last=False) -> ExecutionHistory:
 
 # Malformed conditions and the (code, message, column) each must give.  A bad
 # number literal is reported at the literal itself; every other error at the
-# token where parsing stopped.
+# token where parsing stopped.  The last four rows, numeric operands of
+# and/or, were accepted before those connectives required booleans.
 MALFORMED = [
     ('', 'E-SYNTAX', "expected a value, found 'end of input'", 1),
     ('   ', 'E-SYNTAX', "expected a value, found 'end of input'", 4),
@@ -71,6 +75,10 @@ MALFORMED = [
     ('runsSince(A -> ok > 1', 'E-SYNTAX', "expected ')', found '>'", 19),
     ('executions(A -> ok) > 1 and runsSince(B) == 0', 'E-SYNTAX', "runsSince() requires an 'op -> exit' argument", 40),
     ('runCount() > ²', 'E-SYNTAX', "bad number literal '²'", 14),
+    ('executions(A) > 1 and executions(B)', 'E-SYNTAX', "'and' applies to boolean expressions", 36),
+    ('executions(A) or runCount() > 1', 'E-SYNTAX', "'or' applies to boolean expressions", 15),
+    ('runCount() > 1 and 2 or runCount() < 3', 'E-SYNTAX', "'and' applies to boolean expressions", 22),
+    ('(executions(A)) and runCount() > 0', 'E-SYNTAX', "'and' applies to boolean expressions", 17),
 ]
 
 
@@ -209,21 +217,26 @@ _ops = st.sampled_from(["A", "B", "C"])
 _exits = st.sampled_from(["ok", "fail"])
 _run = st.tuples(st.lists(st.tuples(_ops, _exits), max_size=4),
                  st.sampled_from(["Done", "Other"]))
+_run_or_abort = st.tuples(st.lists(st.tuples(_ops, _exits), max_size=4),
+                          st.sampled_from(["Done", "Other", ABORT_STATE]))
 
 
-@given(st.lists(_run, min_size=0, max_size=12), st.booleans())
+@given(st.lists(_run_or_abort, min_size=0, max_size=12), st.booleans())
 def test_index_equals_brute_force_recount(runs, abort_last):
     if not runs:
         abort_last = False
-    hist = make_history(runs, abort_last=abort_last)
+    hist = ExecutionHistory()
+    hist.cell("D", "ok")  # a key made by a route or a condition, never executed
+    make_history(runs, abort_last=abort_last, hist=hist)
     view = BruteForceView(hist.runs)
     now = 1000.0
     assert hist.run_count() == view.run_count()
     assert hist.exit_counts() == view.exit_counts()
-    for op in ("A", "B", "C"):
+    # "D" and "skip" never execute
+    for op in ("A", "B", "C", "D"):
         assert hist.executions(op) == view.executions(op)
         assert hist.seconds_since(op, None, now) == view.seconds_since(op, None, now)
-        for exit in ("ok", "fail"):
+        for exit in ("ok", "fail", "skip"):
             assert hist.executions(op, exit) == view.executions(op, exit)
             assert hist.runs_since(op, exit) == view.runs_since(op, exit)
             assert (hist.seconds_since(op, exit, now)
@@ -261,10 +274,10 @@ def test_eval_is_pure():
        ]))
 def test_compiled_conditions_equal_tree_eval(runs, text):
     expr = parse_condition(text)
-    compiled = compile_condition(expr)
     hist = make_history(runs)
+    compiled = compile_condition(expr, hist)
     for now in (0.0, 5.0, 1e6):
-        assert compiled(hist, now) is tree_eval(expr, hist, now)
+        assert compiled(now) is tree_eval(expr, hist, now)
         assert eval_condition(expr, hist, now) is tree_eval(expr, hist, now)
 
 
@@ -284,12 +297,17 @@ _conditions = st.recursive(
     max_leaves=8)
 
 
-@given(st.lists(_run, min_size=0, max_size=8), _conditions)
+@given(st.lists(_run_or_abort, min_size=0, max_size=8), _conditions)
 def test_random_conditions_compiled_equal_tree_eval(runs, expr):
-    compiled = compile_condition(expr)
-    hist = make_history(runs)
+    # bound before any run exists: the cells it holds must stay valid through
+    # every later run and every abort's recount
+    hist = ExecutionHistory()
+    compiled = compile_condition(expr, hist)
+    make_history(runs, hist=hist)
+    view = BruteForceView(hist.runs)
     for now in (0.0, 5.0, 1e6):
-        assert compiled(hist, now) is tree_eval(expr, hist, now)
+        assert compiled(now) is tree_eval(expr, hist, now)
+        assert compiled(now) is tree_eval(expr, view, now)
     assert parse_condition(condition_to_text(expr)) == expr
 
 

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from megaloop import build_engine, dsl
+from megaloop import build_engine, control, dsl
 from megaloop.clock import VirtualClock
 from megaloop.control import ControlClient, ControlServer, handle_request
 from megaloop.reflection import export_snapshot
@@ -110,6 +110,39 @@ class TestRobustness:
             assert response.startswith("error E-CTL bad argument"), response
         assert client.request("step 0.5") == "ok stepped to 1.5s"
         assert engine.clock.now() == 1.5
+
+    def test_step_reply_keeps_every_digit(self, served):
+        engine, client = served
+        assert client.request("step 1234567") == "ok stepped to 1234567s"
+        assert engine.clock.now() == 1234567.0
+
+    def test_request_that_raises_is_answered_and_the_server_keeps_serving(
+            self, tmp_path, monkeypatch):
+        engine, server, addr, thread = start_served(tmp_path)
+        handle = control.handle_request
+
+        def faulty(engine, line, *args, **kwargs):
+            if line == "boom":
+                raise RuntimeError("handler fault")
+            return handle(engine, line, *args, **kwargs)
+
+        monkeypatch.setattr(control, "handle_request", faulty)
+        first = connect(addr)
+        try:
+            assert first.request("boom") == \
+                "error E-CTL internal error: RuntimeError('handler fault')"
+            assert first.request("inject c3 crash") == "ok injected c3 crash"
+        finally:
+            first.close()
+        second = connect(addr)
+        try:
+            assert second.request("list").strip() == dsl.serialize_ld(engine.arch).strip()
+            assert second.request("stop") == "ok stopping"
+        finally:
+            second.close()
+            server.close()
+        thread.join(5)
+        assert not thread.is_alive()
 
     def test_timed_out_wait_is_an_error_reply(self):
         # no engine loop drains the inbox, so the command never completes

@@ -92,3 +92,56 @@ def test_json_format_and_roundtrip_with_aborted_run():
     assert again.to_json() == data
     assert again.runs[1].aborted
     assert again.exit_counts() == hist.exit_counts() == {"A": {"ok": 1}, "B": {"fail": 1}}
+
+
+def test_end_run_outside_a_run_raises():
+    with pytest.raises(RuntimeError):
+        ExecutionHistory().end_run(0.0, "Done", 1)
+
+
+def _set(path, value):
+    def corrupt(data):
+        *keys, last = path
+        target = data
+        for key in keys:
+            target = target[key]
+        target[last] = value
+    return corrupt
+
+
+def _drop(run, key):
+    return lambda data: data[run].pop(key)
+
+
+# checks that are statements, not asserts, so `python -O` keeps them too
+MALFORMED_HISTORIES = {
+    "non-contiguous": _set((1, "index"), 2),
+    "bool-index": _set((0, "index"), True),
+    "no-final-state": _drop(0, "finalState"),
+    "no-ops": _drop(2, "ops"),
+    "record-not-a-mapping": _set((0,), ["not", "a", "record"]),
+    "short-op": _set((0, "ops", 0), ["A", "ok", 0.0]),
+    "unhashable-exit": _set((0, "ops", 0, 1), ["ok"]),
+    "op-time-string": _set((0, "ops", 0, 2), "0.0"),
+    "ops-null": _set((0, "ops"), None),
+    "start-string": _set((0, "start"), "0"),
+    "end-null": _set((1, "end"), None),
+    "seq-string": _set((0, "startSeq"), "1"),
+    "cause-number": _set((0, "cause"), 3),
+    "destructed-string": _set((2, "destructed"), "yes"),
+    "final-null": _set((1, "finalState"), None),
+}
+
+
+@pytest.mark.parametrize("corrupt", MALFORMED_HISTORIES.values(), ids=MALFORMED_HISTORIES)
+def test_malformed_history_is_a_value_error(corrupt):
+    data = three_runs().to_json()
+    corrupt(data)
+    with pytest.raises(ValueError):
+        ExecutionHistory.from_json(data)
+
+
+@pytest.mark.parametrize("data", [5, None, {"index": 0}, "runs"])
+def test_history_that_is_not_a_list_of_records_is_a_value_error(data):
+    with pytest.raises(ValueError):
+        ExecutionHistory.from_json(data)

@@ -8,11 +8,12 @@ import pytest
 
 from megaloop import bench, build_engine, dsl
 from megaloop.clock import VirtualClock
+from megaloop.conditions import compile_condition, parse_condition
 from megaloop.history import ABORT_STATE
 from megaloop.model import EventTypeRegistry, Operation
 from megaloop.runtime import Engine, EngineError, route_complex
 
-from conftest import FLD_DIR, LD_DIR
+from conftest import FLD_DIR, LD_DIR, BruteForceView, scripted_loop_engine
 
 
 def ops_of(result):
@@ -375,3 +376,85 @@ class TestClockReads:
         assert [e.op for e in ops] == list(bench.OP_ORDER)
         assert ops[1].end == 0.0  # CheckForFailures, before the watcher ran
         assert ops[2].start == watched.end  # DeepCheck starts after the watcher run
+
+
+DEEP_PATH = ["Update", "CheckForFailures", "DeepCheck", "Repair", "Effect"]
+REPAIR_PATH = ["Update", "CheckForFailures", "Repair", "Effect"]
+
+
+def last_ops(inst) -> list[str]:
+    return [e.op for e in inst.history.runs[-1].op_executions]
+
+
+class TestBoundRoutes:
+    """Routes and branch conditions hold their history's index cells."""
+
+    def test_abort_rolls_back_what_conditions_and_exit_counts_see(self):
+        exits = dict(bench.MOCK_EXITS)
+        engine = scripted_loop_engine(exits)
+        loop = engine.instances["loop"]
+        engine.reflect_edit("loop", ("setDecisionCondition", "NeedDeepAnalysis", 0,
+                                     "executions(CheckForFailures -> failures) >= 3"))
+        one_update = compile_condition(parse_condition("executions(Update -> done) == 1"),
+                                       loop.history)
+        engine.execute_run(loop, "Monitor")
+        assert last_ops(loop) == REPAIR_PATH
+        exits["Repair"] = RuntimeError("repair fault")
+        with pytest.raises(EngineError) as err:
+            engine.execute_run(loop, "Monitor")  # counted Update and CheckForFailures first
+        assert err.value.code == "E-OP-IMPL" and loop.history.runs[-1].aborted
+        assert one_update(0.0) is True
+        exits["Repair"] = "planned"
+        engine.execute_run(loop, "Monitor")  # the second failing check on record, not the third
+        assert last_ops(loop) == REPAIR_PATH
+        expected = {"Update": {"done": 2}, "CheckForFailures": {"failures": 2},
+                    "Repair": {"planned": 2}, "Effect": {"done": 2}}
+        assert loop.history.exit_counts() == BruteForceView(loop.history.runs).exit_counts()
+        assert loop.history.exit_counts() == expected
+
+    def test_condition_edit_mid_run_is_taken_at_the_next_decision(self):
+        engine = scripted_loop_engine(dict(bench.MOCK_EXITS))
+        loop = engine.instances["loop"]
+        engine.execute_run(loop, "Monitor")
+        assert last_ops(loop) == DEEP_PATH  # runsSince(CheckForFailures -> no_failures) is inf
+
+        def editing_update(ctx, models):
+            ctx.engine.reflect_edit("loop", ("setDecisionCondition", "NeedDeepAnalysis", 0,
+                                             "runCount() > 100"))
+            return "done"
+
+        update = loop.bindings["Update"]
+        loop.bindings["Update"] = ("call", editing_update)
+        engine.execute_run(loop, "Monitor")
+        assert last_ops(loop) == REPAIR_PATH
+        loop.bindings["Update"] = update
+        engine.reflect_edit("loop", ("setDecisionCondition", "NeedDeepAnalysis", 0,
+                                     "runCount() > 2"))
+        engine.execute_run(loop, "Monitor")
+        assert last_ops(loop) == DEEP_PATH
+
+    def test_undeclared_or_unhashable_exit_is_exit_unknown(self):
+        for returned in ("nonsense", ["done"]):
+            exits = dict(bench.MOCK_EXITS, Update=returned)
+            engine = scripted_loop_engine(exits)
+            loop = engine.instances["loop"]
+            with pytest.raises(EngineError) as err:
+                engine.execute_run(loop, "Monitor")
+            assert err.value.code == "E-EXIT-UNKNOWN"
+            assert loop.history.runs[-1].aborted and loop.status == "idle"
+            assert loop.history.exit_counts() == {}
+
+    def test_run_audit_holds_the_run_records(self):
+        engine = scripted_loop_engine(dict(bench.MOCK_EXITS), collect_traces=False)
+        loop = engine.instances["loop"]
+        result = engine.execute_run(loop, "Monitor", cause="test")
+        assert result.trace == ()  # nothing collects or sinks trace entries
+        entry = engine.run_audit[-1]
+        assert entry is loop.history.runs[-1]
+        keys = ("instance", "index", "start", "end", "start_seq", "end_seq", "final",
+                "aborted", "depth", "cause")
+        assert {key: entry[key] for key in keys} == {
+            "instance": "loop", "index": 0, "start": 0.0, "end": 0.0, "start_seq": 1,
+            "end_seq": 2, "final": "Executed", "aborted": False, "depth": 0, "cause": "test"}
+        with pytest.raises(KeyError):
+            entry["op_log"]

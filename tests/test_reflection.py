@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from megaloop import build_engine, dsl
+from megaloop import bench, build_engine, dsl
 from megaloop.clock import VirtualClock
+from megaloop.conditions import eval_condition, parse_condition
 from megaloop.reflection import (Patch, PatchStep, apply_patch_now, audit_quiescence,
                                  export_snapshot, import_snapshot, parse_patch,
                                  rebind_now, set_trigger_now)
 from megaloop.runtime import EngineError
 from megaloop.scenario import parse_script
 
-from conftest import FLD_DIR, LD_DIR, PATCH_DIR
+from conftest import FLD_DIR, LD_DIR, PATCH_DIR, BruteForceView, scripted_loop_engine
 
 
 def fresh(ld_name, **kwargs):
@@ -351,6 +354,58 @@ class TestSnapshots:
         with pytest.raises(EngineError) as err:
             import_snapshot('{"engineTime": ' + "[" * 100000)
         assert err.value.code == "E-SNAP-PARSE"
+
+    @pytest.mark.parametrize("clean_run,holds", [(0, True), (4, False)])
+    def test_imported_history_drives_the_next_run_as_on_the_original(self, clean_run, holds):
+        exits = dict(bench.MOCK_EXITS)
+        engine = scripted_loop_engine(exits)
+        for index in range(7):
+            exits["CheckForFailures"] = "no_failures" if index == clean_run else "failures"
+            engine.execute_run(engine.instances["loop"], "Monitor")
+        exits["CheckForFailures"] = "failures"
+        clone = import_snapshot(export_snapshot(engine).to_json(), software=engine.software,
+                                default_ops=engine.default_ops)
+        condition = parse_condition("runsSince(CheckForFailures -> no_failures) > 5")
+        original, imported = engine.instances["loop"], clone.instances["loop"]
+        # evaluated as of the next run, which counts itself
+        assert eval_condition(condition, original.history, 0.0) is (6 - clean_run > 5)
+        for each in (engine, clone):
+            each.execute_run(each.instances["loop"], "Monitor")
+        ops = [[e.op for e in inst.history.runs[-1].op_executions]
+               for inst in (original, imported)]
+        assert ops[0] == ops[1]
+        assert ("DeepCheck" in ops[1]) is holds
+        recount = BruteForceView(imported.history.runs).exit_counts()
+        assert imported.history.exit_counts() == original.history.exit_counts() == recount
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda h: h["selfRepair"][1].update(index=5),
+        lambda h: h["selfRepair"][0].pop("ops"),
+        lambda h: h["selfRepair"][0]["ops"][0].pop(),
+        lambda h: h["selfRepair"][1].update(startSeq="3"),
+        lambda h: h.update(selfRepair="runs"),
+    ], ids=["non-contiguous", "no-ops", "short-op", "seq-string", "not-a-list"])
+    def test_malformed_history_is_a_snapshot_error(self, corrupt):
+        engine = fresh("self-repair.ld")
+        for _ in range(2):
+            engine.execute_run(engine.instances["selfRepair"], "Monitor")
+        text = export_snapshot(engine).to_json()
+        inputs = {"software": engine.software, "default_ops": engine.default_ops}
+        assert import_snapshot(text, **inputs).instances["selfRepair"].history.run_count() == 2
+        payload = json.loads(text)
+        corrupt(payload["histories"])
+        with pytest.raises(EngineError) as err:
+            import_snapshot(json.dumps(payload), **inputs)
+        assert err.value.code == "E-SNAP-PARSE" and "history" in str(err.value)
+
+    def test_histories_that_are_not_a_mapping_are_a_snapshot_error(self):
+        engine = fresh("self-repair.ld")
+        payload = json.loads(export_snapshot(engine).to_json())
+        payload["histories"] = []
+        with pytest.raises(EngineError) as err:
+            import_snapshot(json.dumps(payload), software=engine.software,
+                            default_ops=engine.default_ops)
+        assert err.value.code == "E-SNAP-PARSE" and "histories" in str(err.value)
 
     def test_replay_equivalence_after_import(self):
         script_text = (
